@@ -14,8 +14,8 @@ The package computes, over exact coefficients only:
 
 from .rings import (NotAFieldError, NotAUnitError, PadicRing, PrimeField,
                     Rationals, SeriesRing, parse_ring, ring_spec)
-from .linalg import (ExactMatrix, dump_matrix, kernel_basis, load_matrix,
-                     nullity, rank, solve)
+from .linalg import (ExactMatrix, dump_matrix, kernel_basis, load_matrix, rank,
+                     solve)
 from .racks import (BehaviorPartition, ClosureError, InnerGroup, RackAxiomError,
                     RackTable, affine_quandle, behavior_partition,
                     conjugation_rack, cycles_to_permutation, dihedral_quandle,
@@ -38,9 +38,9 @@ from .cochains import (Cochain, CoefficientError, RackCochain, SizeGuardError,
                        vector_to_cochain, zero_cochain, zero_rack_cochain)
 from .chains import (Chain, boundary, chain_from_entries, dump_chain,
                      pairing, partial_boundary, zero_chain)
-from .homotopy import (FiltrationError, NotACocycleError, WitnessMap,
-                       build_witness_map, filtration_level, homotopy_defect,
-                       insertion_homotopy, level_projection,
+from .homotopy import (FiltrationError, NotACocycleError, PostconditionError,
+                       WitnessMap, build_witness_map, filtration_level,
+                       homotopy_defect, insertion_homotopy, level_projection,
                        quasidiagonal_projection, quasidiagonal_representative)
 from .deformations import (DeformationError, FamilyReport, GaugeSequence,
                            RigidityReport, TruncatedDeformation, YBEFailure,

@@ -9,8 +9,9 @@ element it reads, for position i = 1..n,
        = [x_i^{x_{i+1}..x_n} == y_i^{y_{i+1}..y_n}] * |..x_{i-1}, x_{i+1}.. ; ..|
        - [x_i == y_i] * |x_1^{x_i}..x_{i-1}^{x_i}, x_{i+1}.. ; ..|
 
-so it is the scatter adjoint of the partial coboundary at position i-1, and
-the pairing <f | g> = tr(f g) = sum f[x, y] g[y, x] intertwines the two.
+so it is the transpose of the partial coboundary at position i-1 (the same
+grouped summands, scattered back by an exact int64 ``np.add.at``), and the
+pairing <f | g> = tr(f g) = sum f[x, y] g[y, x] intertwines the two.
 Degree-0 chains are scalars.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 from .indexing import position_data
 from .racks import RackTable
 from .rings import Ring
-from .cochains import Cochain, _modulus, _reduce
+from .cochains import Cochain, _modulus, _pair_codes, _reduce
 
 
 @dataclass(frozen=True)
@@ -69,31 +70,29 @@ def chain_from_entries(rack: RackTable, degree: int, ring: Ring, entries) -> Cha
     return Chain(rack, degree, ring, _reduce(out.values, ring))
 
 
+def _signed_boundaries(f: Chain, signs: dict[int, int]) -> Chain:
+    """The sum of sign * boundary_i f over {i: sign}: per position one gather
+    from f and one exact int64 ``np.add.at`` into the source pairs."""
+    side = f.rack.size ** (f.degree - 1)
+    out = np.zeros(side * side, dtype=np.int64)
+    for i, sign in signs.items():
+        data = position_data(f.rack, f.degree, i - 1)
+        vals = f.values.reshape(-1)[_pair_codes(data.members, data.drop.size)]
+        vals = vals * np.array([sign, -sign])[:, None, None, None]
+        np.add.at(out, _pair_codes(data.sources, side), vals)
+    return Chain(f.rack, f.degree - 1, f.ring, _reduce(out.reshape(side, side), f.ring))
+
+
 def partial_boundary(f: Chain, i: int) -> Chain:
     """Boundary summand contracting tensor position i (1-based)."""
-    n = f.degree
-    if not 1 <= i <= n:
-        raise IndexError(f"partial boundary index {i} outside 1..{n}")
-    if n < 1:
-        raise ValueError("boundaries start at degree 1")
-    data = position_data(f.rack, n, i - 1)
-    side_out = f.rack.size ** (n - 1)
-    out = np.zeros((side_out, side_out), dtype=np.int64)
-    plus = f.values * np.equal.outer(data.act, data.act)
-    np.add.at(out, (data.drop[:, None], data.drop[None, :]), plus)
-    minus = f.values * np.equal.outer(data.coord, data.coord)
-    np.subtract.at(out, (data.conj[:, None], data.conj[None, :]), minus)
-    return Chain(f.rack, n - 1, f.ring, _reduce(out, f.ring))
+    if not 1 <= i <= f.degree:
+        raise IndexError(f"partial boundary index {i} outside 1..{f.degree}")
+    return _signed_boundaries(f, {i: 1})
 
 
 def boundary(f: Chain) -> Chain:
     """Alternating sum with signs (-1)^(i-1) over i = 1..degree."""
-    n = f.degree
-    total = zero_chain(f.rack, n - 1, f.ring).values
-    for i in range(1, n + 1):
-        term = partial_boundary(f, i).values
-        total += term if (i - 1) % 2 == 0 else -term
-    return Chain(f.rack, n - 1, f.ring, _reduce(total, f.ring))
+    return _signed_boundaries(f, {i: (-1) ** (i - 1) for i in range(1, f.degree + 1)})
 
 
 def pairing(f: Chain, g: Cochain):

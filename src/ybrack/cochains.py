@@ -8,8 +8,10 @@ coboundary with respect to position i of the output tuples is
         = f[..x_{i-1}, x_{i+1}.. ; ..]  *  [x_i^{x_{i+1}..x_n} == y_i^{y_{i+1}..y_n}]
         - f[x_0^{x_i}..x_{i-1}^{x_i}, x_{i+1}.. ; ..]  *  [x_i == y_i]
 
-and the coboundary is the alternating sum over i = 0..n.  Both summands are
-pure gathers with 0/1 masks, so everything stays exact over int64.
+and the coboundary is the alternating sum over i = 0..n.  A summand only
+reaches pairs within one key class of :func:`ybrack.indexing.position_data`,
+each at most once, so it is an int64 gather plus an indexed add: exact, and
+1/q of the pairs.  The matrix of d^n is the same incidence as coordinates.
 
 Coefficients: a prime field reduces entries mod p; rationals are handled
 with integer representatives (the complex maps are additive with unit
@@ -168,63 +170,69 @@ def identity_cochain(rack: RackTable, degree: int, ring: Ring) -> Cochain:
 
 # -- coboundary ----------------------------------------------------------------
 
+def _pair_codes(codes: np.ndarray, side: int) -> np.ndarray:
+    """Codes x * side + y of every pair (x, y) within each last-axis group."""
+    return codes[..., :, None] * side + codes[..., None, :]
+
+
+def _signed_partials(f: Cochain, signs: dict[int, int]) -> Cochain:
+    """The sum of sign * d_i f over {i: sign}, in pair codes: per summand one
+    gather from f and one indexed add into the output."""
+    side = f.rack.size ** (f.degree + 1)
+    out = np.zeros(side * side, dtype=np.int64)
+    flat = f._grid().reshape(-1)
+    for i, sign in signs.items():
+        data = position_data(f.rack, f.degree + 1, i)
+        rows = _pair_codes(data.members, side)
+        vals = flat[_pair_codes(data.sources, side // f.rack.size)]
+        plus, minus = (0, 1) if sign > 0 else (1, 0)
+        out[rows[plus]] += vals[plus]
+        out[rows[minus]] -= vals[minus]
+    return Cochain(f.rack, f.degree + 1, f.ring, _reduce(out.reshape(side, side), f.ring))
+
+
 def partial_coboundary(f: Cochain, i: int) -> Cochain:
-    n = f.degree
-    if not 0 <= i <= n:
-        raise IndexError(f"partial coboundary index {i} outside 0..{n}")
-    data = position_data(f.rack, n + 1, i)
-    grid = f._grid()
-    plus = grid[np.ix_(data.drop, data.drop)] * np.equal.outer(data.act, data.act)
-    minus = grid[np.ix_(data.conj, data.conj)] * np.equal.outer(data.coord, data.coord)
-    return Cochain(f.rack, n + 1, f.ring, _reduce(plus - minus, f.ring))
+    if not 0 <= i <= f.degree:
+        raise IndexError(f"partial coboundary index {i} outside 0..{f.degree}")
+    return _signed_partials(f, {i: 1})
 
 
 def coboundary(f: Cochain) -> Cochain:
-    n = f.degree
-    data0 = position_data(f.rack, n + 1, 0)
-    total = np.zeros((len(data0.drop), len(data0.drop)), dtype=np.int64)
-    grid = f._grid()
-    for i in range(n + 1):
-        data = position_data(f.rack, n + 1, i)
-        term = grid[np.ix_(data.drop, data.drop)] * np.equal.outer(data.act, data.act)
-        term -= grid[np.ix_(data.conj, data.conj)] * np.equal.outer(data.coord, data.coord)
-        total += term if i % 2 == 0 else -term
-    return Cochain(f.rack, n + 1, f.ring, _reduce(total, f.ring))
-
-
-def _pair_codes(q: int, degree: int, xcodes, ycodes):
-    return xcodes * q**degree + ycodes
+    return _signed_partials(f, {i: (-1) ** i for i in range(f.degree + 1)})
 
 
 def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
-                      cap: int = MATRIX_ENTRY_CAP) -> ExactMatrix:
+                      cap: int = MATRIX_ENTRY_CAP, subcomplex: str = "full") -> ExactMatrix:
     """Sparse matrix of d^degree in the pair-code basis.
 
     Rows are indexed by q^(2(degree+1)) output pairs, columns by q^(2 degree)
-    input pairs; each column has at most 2(degree+1) nonzero entries.
+    input pairs; each row has at most 2(degree+1) nonzero entries.  A
+    ``subcomplex`` "diagonal" or "quasidiagonal" restricts rows and columns
+    to its :func:`pair_basis` before the matrix is built.
     """
     _modulus(ring)  # reject truncated coefficient rings early
     q = rack.size
     out_dim = q ** (2 * (degree + 1))
     if out_dim > cap:
         raise SizeGuardError(out_dim, cap)
-    in_side = q**degree
-    triples: dict[tuple[int, int], int] = {}
-    for i in range(degree + 1):
-        data = position_data(rack, degree + 1, i)
-        sign = 1 if i % 2 == 0 else -1
-        for take, idx, weight in (
-                (np.equal.outer(data.act, data.act), data.drop, sign),
-                (np.equal.outer(data.coord, data.coord), data.conj, -sign)):
-            xs, ys = np.nonzero(take)
-            rows = _pair_codes(q, degree + 1, xs, ys)
-            cols = _pair_codes(q, degree, idx[xs], idx[ys])
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                key = (r, c)
-                triples[key] = triples.get(key, 0) + weight
-    entries = ((r, c, ring.from_int(v)) for (r, c), v in triples.items()
-               if not ring.is_zero(ring.from_int(v)))
-    return ExactMatrix.from_coordinates(ring, out_dim, in_side * in_side, entries)
+    in_dim = q ** (2 * degree)
+    data = [position_data(rack, degree + 1, i) for i in range(degree + 1)]
+    rows = _pair_codes(np.stack([d.members for d in data]), q ** (degree + 1))
+    cols = _pair_codes(np.stack([d.sources for d in data]), q**degree)
+    # summand s of position i enters with sign (-1)^(i+s)
+    signs = np.array([[(-1) ** (i + s) for s in (0, 1)] for i in range(degree + 1)])
+    signs = np.broadcast_to(signs[:, :, None, None, None], rows.shape).reshape(-1)
+    rows, cols = rows.reshape(-1), cols.reshape(-1)
+    if subcomplex != "full":
+        mask_out = pair_mask(rack, degree + 1, subcomplex).reshape(-1)
+        mask_in = pair_mask(rack, degree, subcomplex).reshape(-1)
+        keep = mask_out[rows] & mask_in[cols]
+        basis_out, basis_in = np.flatnonzero(mask_out), np.flatnonzero(mask_in)
+        rows = np.searchsorted(basis_out, rows[keep])
+        cols = np.searchsorted(basis_in, cols[keep])
+        signs = signs[keep]
+        out_dim, in_dim = basis_out.size, basis_in.size
+    return ExactMatrix.from_coo(ring, out_dim, in_dim, rows, cols, signs)
 
 
 def cochain_to_vector(f: Cochain) -> list:
@@ -244,10 +252,8 @@ def vector_to_cochain(rack: RackTable, degree: int, ring: Ring, vec) -> Cochain:
 # -- subcomplexes ----------------------------------------------------------------
 
 def pair_basis(rack: RackTable, degree: int, mode: str) -> list[int]:
-    """Pair codes spanning the diagonal or quasi-diagonal subcomplex."""
-    mask = pair_mask(rack, degree, mode)
-    xs, ys = np.nonzero(mask)
-    return sorted(_pair_codes(rack.size, degree, xs, ys).tolist())
+    """Pair codes spanning the diagonal or quasi-diagonal subcomplex, sorted."""
+    return np.flatnonzero(pair_mask(rack, degree, mode)).tolist()
 
 
 def project_diagonal(f: Cochain) -> Cochain:
@@ -275,16 +281,8 @@ def cohomology_dim(rack: RackTable, ring: Ring, degree: int,
         raise ValueError("cohomology needs degree >= 2 (uses d^(n-1) and d^n)")
     if degree > degree_cap:
         raise ValueError(f"degree {degree} above the supported cap {degree_cap}")
-    d_low = coboundary_matrix(rack, ring, degree - 1, cap=cap)
-    d_high = coboundary_matrix(rack, ring, degree, cap=cap)
-    if subcomplex == "full":
-        kernel_dim = d_high.cols - linalg.rank(d_high)
-        return kernel_dim - linalg.rank(d_low)
-    basis_low = pair_basis(rack, degree - 1, subcomplex)
-    basis_mid = pair_basis(rack, degree, subcomplex)
-    basis_high = pair_basis(rack, degree + 1, subcomplex)
-    d_low = d_low.submatrix(basis_mid, basis_low)
-    d_high = d_high.submatrix(basis_high, basis_mid)
+    d_low = coboundary_matrix(rack, ring, degree - 1, cap=cap, subcomplex=subcomplex)
+    d_high = coboundary_matrix(rack, ring, degree, cap=cap, subcomplex=subcomplex)
     kernel_dim = d_high.cols - linalg.rank(d_high)
     return kernel_dim - linalg.rank(d_low)
 
@@ -331,17 +329,11 @@ def rack_coboundary(lam: RackCochain) -> RackCochain:
 def rack_coboundary_matrix(rack: RackTable, ring: Ring, degree: int) -> ExactMatrix:
     q = rack.size
     rows = q ** (degree + 1)
-    triples: dict[tuple[int, int], int] = {}
-    for i in range(1, degree + 1):
-        data = position_data(rack, degree + 1, i)
-        sign = -1 if i % 2 else 1
-        for a in range(rows):
-            for col, w in ((int(data.drop[a]), sign), (int(data.conj[a]), -sign)):
-                key = (a, col)
-                triples[key] = triples.get(key, 0) + w
-    entries = ((r, c, ring.from_int(v)) for (r, c), v in triples.items()
-               if not ring.is_zero(ring.from_int(v)))
-    return ExactMatrix.from_coordinates(ring, rows, q**degree, entries)
+    data = [position_data(rack, degree + 1, i) for i in range(1, degree + 1)]
+    cols = np.array([(d.drop, d.conj) for d in data], dtype=np.int64)
+    signs = np.array([((-1) ** i, -(-1) ** i) for i in range(1, degree + 1)], dtype=np.int64)
+    return ExactMatrix.from_coo(ring, rows, q**degree, np.tile(np.arange(rows), 2 * degree),
+                                cols.reshape(-1), np.repeat(signs.reshape(-1), rows))
 
 
 def rack_cohomology_dim(rack: RackTable, ring: Ring, degree: int) -> int:

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cochains import Cochain, coboundary, sub, zero_cochain, _reduce
+from .cochains import Cochain, coboundary, pair_mask, sub, zero_cochain, _reduce
 from .indexing import class_coordinates, decode_tuple, insert_codes, tuple_coordinates
 from .racks import RackTable, behavior_partition, inverse_op
 
@@ -44,6 +44,20 @@ class NotACocycleError(ValueError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"coboundary is nonzero at {witness}")
+
+
+class PostconditionError(ArithmeticError):
+    """A result broke a mathematical postcondition; ``witness`` names where."""
+
+    def __init__(self, message, witness):
+        self.witness = witness
+        super().__init__(f"{message}: {witness}")
+
+
+def _first_entry(f: Cochain, where: np.ndarray):
+    """The first True position of a grid shaped like f's, as (x, y) tuples."""
+    xi, yi = np.argwhere(where)[0]
+    return tuple(decode_tuple(f.rack.size, int(c), f.degree) for c in (xi, yi))
 
 
 @dataclass(frozen=True)
@@ -77,11 +91,12 @@ def build_witness_map(rack: RackTable) -> WitnessMap:
             if cls[x] == cls[y]:
                 continue
             z = next(z for z in range(n) if inv[z][x] != inv[z][y])
-            u[x, y] = inv[z][x]
-            v[x, y] = inv[z][y]
+            a, b = inv[z][x], inv[z][y]
             # construction postcondition: distinct preimages, common image
-            assert u[x, y] != v[x, y]
-            assert rack.op(int(u[x, y]), x) == rack.op(int(v[x, y]), y) == z
+            if a == b or not rack.op(a, x) == rack.op(b, y) == z:
+                raise PostconditionError(f"witness needs u != v and u * x = v * y = {z}",
+                                         {"pair": (x, y), "uv": (a, b)})
+            u[x, y], v[x, y] = a, b
     u.setflags(write=False)
     v.setflags(write=False)
     return WitnessMap(rack=rack, u=u, v=v)
@@ -162,15 +177,13 @@ def quasidiagonal_representative(f: Cochain) -> tuple[Cochain, Cochain]:
     Each level projection of a cocycle differs from it by the coboundary of
     an explicit correction, namely -(-1)^(degree-m) s(f); the corrections
     accumulate into g one degree lower.  The exchange p(f) = f + d(step) is
-    asserted exactly at every level.
+    checked exactly at every level, and the result checked quasi-diagonal;
+    a failure raises :class:`PostconditionError` naming the first bad entry.
     """
     n = f.degree
     df = coboundary(f)
     if not df.is_zero():
-        xi, yi = np.argwhere(df._grid() != 0)[0]
-        q = f.rack.size
-        witness = (decode_tuple(q, int(xi), n + 1), decode_tuple(q, int(yi), n + 1))
-        raise NotACocycleError(witness)
+        raise NotACocycleError(_first_entry(df, df._grid() != 0))
     current = f
     g = zero_cochain(f.rack, n - 1, f.ring)
     for m in range(n):
@@ -180,9 +193,12 @@ def quasidiagonal_representative(f: Cochain) -> tuple[Cochain, Cochain]:
         advanced = Cochain(f.rack, n, f.ring,
                            _reduce(current._grid() + coboundary(step)._grid(), f.ring))
         projected = level_projection(current, m)
-        assert np.array_equal(advanced._grid(), projected._grid()), \
-            "projection of a cocycle must match the accumulated correction"
+        if not np.array_equal(advanced._grid(), projected._grid()):
+            raise PostconditionError(f"level-{m} projection is not f + d(correction)",
+                                     _first_entry(f, advanced._grid() != projected._grid()))
         current = advanced
         g = Cochain(f.rack, n - 1, f.ring, _reduce(g._grid() + step._grid(), f.ring))
-    assert current.is_quasidiagonal()
+    off = (current._grid() != 0) & ~pair_mask(f.rack, n, "quasidiagonal")
+    if off.any():
+        raise PostconditionError("representative is not quasi-diagonal", _first_entry(f, off))
     return current, g

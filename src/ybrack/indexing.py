@@ -6,12 +6,18 @@ tuples is numeric order on codes.  For each tuple position the maps needed
 by the two summands of a partial (co)boundary are tabulated once per
 (rack, length, position) and cached:
 
-* ``drop``  -- code of the tuple with that position deleted
-* ``conj``  -- code of the tuple where every earlier coordinate is acted on
-               by the deleted one: (x_0^{x_j}, ..., x_{j-1}^{x_j}, x_{j+1}, ...)
-* ``act``   -- the deleted coordinate pushed through the later ones:
-               x_j^{x_{j+1} ... x_{L-1}}
-* ``coord`` -- the deleted coordinate itself
+* ``drop``    -- code of the tuple with that position deleted
+* ``conj``    -- code of the tuple where every earlier coordinate is acted on
+                 by the deleted one: (x_0^{x_j}, ..., x_{j-1}^{x_j}, x_{j+1}, ...)
+* ``members`` -- shape (2, q, q^(L-1)): the tuples grouped by the key of the
+                 drop summand (row 0: the deleted coordinate pushed through
+                 the later ones, x_j^{x_{j+1} ... x_{L-1}}) and of the conj
+                 summand (row 1: the deleted coordinate itself)
+* ``sources`` -- ``drop`` of the row-0 and ``conj`` of the row-1 members
+
+A summand pairs two tuples exactly when their keys agree, so it reaches the
+pairs within one key class, 1/q of all pairs.  Each class has q^(L-1)
+members because right translations are permutations (Q2, see ``validate``).
 """
 
 from __future__ import annotations
@@ -26,24 +32,15 @@ from .racks import RackTable, behavior_partition
 
 @dataclass(frozen=True)
 class PositionData:
-    length: int
-    position: int
     drop: np.ndarray
     conj: np.ndarray
-    act: np.ndarray
-    coord: np.ndarray
+    members: np.ndarray
+    sources: np.ndarray
 
 
 def tuple_coordinates(q: int, length: int) -> list[np.ndarray]:
     codes = np.arange(q**length, dtype=np.int64)
     return [(codes // q ** (length - 1 - j)) % q for j in range(length)]
-
-
-def encode_tuple(q: int, tup) -> int:
-    code = 0
-    for x in tup:
-        code = code * q + int(x)
-    return code
 
 
 def decode_tuple(q: int, code: int, length: int) -> tuple[int, ...]:
@@ -73,11 +70,12 @@ def position_data(rack: RackTable, length: int, position: int) -> PositionData:
     act = coords[j].copy()
     for a in range(j + 1, length):
         act = table[act, coords[a]]
-
-    for arr in (drop, conj, act):
+    members = np.stack([np.argsort(key, kind="stable").reshape(q, -1)
+                        for key in (act, coords[j])])
+    sources = np.stack([drop[members[0]], conj[members[1]]])
+    for arr in (drop, conj, members, sources):
         arr.setflags(write=False)
-    return PositionData(length=length, position=j, drop=drop, conj=conj,
-                        act=act, coord=coords[j])
+    return PositionData(drop=drop, conj=conj, members=members, sources=sources)
 
 
 @lru_cache(maxsize=None)

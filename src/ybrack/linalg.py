@@ -7,8 +7,9 @@ produce bit-identical answers, and any parallel variant is forced to agree
 with the sequential one.  Pivoting is deterministic (first nonzero entry in
 row-major order).
 
-Matrices above ``SPARSE_THRESHOLD`` entries are held as coordinate lists and
-eliminated sparsely; everything smaller is dense.
+A matrix is a dense grid in its ring's layout, or coordinates: the sorted
+flat positions ``row * cols + col`` of its nonzero entries and their values
+(int64 residues over a prime field, ring scalars otherwise).
 """
 
 from __future__ import annotations
@@ -17,38 +18,34 @@ import numpy as np
 
 from .rings import NotAFieldError, PrimeField, Rationals, Ring
 
-SPARSE_THRESHOLD = 10_000
-
 # Above this many entries a prime-field matrix is eliminated sparsely even
 # when densification would fit in memory; keeps degree-3 coboundaries viable.
 _DENSE_ELIMINATION_LIMIT = 40_000_000
 
 
+def _values(ring: Ring, values) -> np.ndarray:
+    """Coordinate values: int64 residues over a prime field, else objects."""
+    if isinstance(ring, PrimeField):
+        return np.asarray(values, dtype=np.int64).reshape(-1)
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 class ExactMatrix:
     """A rows x cols matrix over one scalar ring.
 
-    Storage is either a dense grid or a dict of nonzero coordinates; all
+    Storage is a dense grid or coordinates (see the module docstring); all
     query operations are storage agnostic.  Instances are treated as
     immutable once built.
     """
 
-    def __init__(self, ring: Ring, rows: int, cols: int, entries=None, sparse=None):
+    def __init__(self, ring: Ring, rows: int, cols: int, entries=None, coords=None):
+        if rows * cols >= 2**63:
+            raise ValueError(f"{rows}x{cols} positions do not fit in int64")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        if sparse is not None:
-            self._sparse = {pos: v for pos, v in sparse.items() if not ring.is_zero(v)}
-            self._dense = None
-        elif entries is not None:
-            self._dense = entries
-            self._sparse = None
-        else:
-            if rows * cols > SPARSE_THRESHOLD:
-                self._sparse = {}
-                self._dense = None
-            else:
-                self._dense = ring.zeros(rows, cols)
-                self._sparse = None
+        self._dense = entries
+        self._keys, self._vals = coords or (np.zeros(0, dtype=np.int64), _values(ring, []))
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -64,32 +61,46 @@ class ExactMatrix:
     @classmethod
     def from_coordinates(cls, ring: Ring, rows: int, cols: int, triples) -> "ExactMatrix":
         """Build from (row, col, value) triples, accumulating duplicates."""
-        acc: dict[tuple[int, int], object] = {}
+        acc: dict[int, object] = {}
         for i, j, v in triples:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols}")
-            cur = acc.get((i, j))
-            acc[(i, j)] = v if cur is None else ring.add(cur, v)
-        if rows * cols <= SPARSE_THRESHOLD:
-            out = cls(ring, rows, cols)
-            for (i, j), v in acc.items():
-                ring.mat_set_entry(out._dense, i, j, v)
-            return out
-        return cls(ring, rows, cols, sparse=acc)
+            key = i * cols + j
+            cur = acc.get(key)
+            acc[key] = v if cur is None else ring.add(cur, v)
+        keys = sorted(k for k, v in acc.items() if not ring.is_zero(v))
+        return cls(ring, rows, cols, coords=(np.asarray(keys, dtype=np.int64),
+                                             _values(ring, [acc[k] for k in keys])))
+
+    @classmethod
+    def from_coo(cls, ring: Ring, rows: int, cols: int, row, col, value) -> "ExactMatrix":
+        """Build from int64 coordinate arrays with integer values; repeated
+        positions are summed (sort, then one segment sum)."""
+        keys = np.asarray(row, dtype=np.int64) * cols + col
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        sums = np.add.reduceat(np.asarray(value, dtype=np.int64)[order], starts)
+        if isinstance(ring, PrimeField):
+            sums = sums % ring.p
+        keep = sums != 0
+        sums = sums[keep] if isinstance(ring, PrimeField) else \
+            [ring.from_int(v) for v in sums[keep].tolist()]
+        return cls(ring, rows, cols, coords=(keys[starts][keep], _values(ring, sums)))
 
     # -- queries -------------------------------------------------------------
-    @property
-    def is_sparse(self) -> bool:
-        return self._sparse is not None
-
     def entry(self, i: int, j: int):
-        if self._sparse is not None:
-            return self._sparse.get((i, j), self.ring.zero())
-        return self.ring.mat_entry(self._dense, i, j)
+        if self._dense is not None:
+            return self.ring.mat_entry(self._dense, i, j)
+        k = int(np.searchsorted(self._keys, i * self.cols + j))
+        if k < self._keys.size and self._keys[k] == i * self.cols + j:
+            return self._vals[k:k + 1].tolist()[0]
+        return self.ring.zero()
 
     def nonzero_items(self):
-        if self._sparse is not None:
-            yield from sorted(self._sparse.items())
+        if self._dense is None:
+            rows, cols = np.divmod(self._keys, max(self.cols, 1))
+            yield from zip(zip(rows.tolist(), cols.tolist()), self._vals.tolist())
             return
         for i in range(self.rows):
             for j in range(self.cols):
@@ -98,6 +109,8 @@ class ExactMatrix:
                     yield (i, j), v
 
     def nnz(self) -> int:
+        if self._dense is None:
+            return self._keys.size
         return sum(1 for _ in self.nonzero_items())
 
     def transpose(self) -> "ExactMatrix":
@@ -127,10 +140,9 @@ class ExactMatrix:
             raise NotAFieldError("dense int grid only available over prime fields")
         if self._dense is not None:
             return self._dense % self.ring.p
-        grid = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for (i, j), v in self._sparse.items():
-            grid[i, j] = v % self.ring.p
-        return grid
+        grid = np.zeros(self.rows * self.cols, dtype=np.int64)
+        grid[self._keys] = self._vals % self.ring.p
+        return grid.reshape(self.rows, self.cols)
 
 
 def _require_field(ring: Ring):
@@ -245,10 +257,6 @@ def kernel_basis(mat: ExactMatrix) -> list[list]:
                 vec[c] = ring.neg(coeff)
         basis.append(vec)
     return basis
-
-
-def nullity(mat: ExactMatrix) -> int:
-    return mat.cols - rank(mat)
 
 
 def solve(mat: ExactMatrix, rhs) -> list | None:

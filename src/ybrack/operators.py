@@ -9,6 +9,7 @@ code(x1, x2).  The braid relation is checked on the three-strand lifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,9 +193,10 @@ def load_operator(text: str, rack: RackTable | None = None) -> YBOperator:
     head, _, rest = text.partition("\n")
     ring = parse_ring(head)
     loaded = linalg.load_matrix(rest, ring=ring)
-    dim = int(round(loaded.rows ** 0.5))
+    dim = math.isqrt(loaded.rows)
     if dim * dim != loaded.rows:
-        raise InvalidOperatorError("operator matrix size is not a perfect square")
+        raise InvalidOperatorError(
+            f"operator matrix has {loaded.rows} rows, which is not a perfect square")
     matrix = ring.zeros(loaded.rows, loaded.cols)
     for (i, j), v in loaded.nonzero_items():
         ring.mat_set_entry(matrix, i, j, v)

@@ -48,9 +48,6 @@ class RackTable:
     def op(self, x: int, y: int) -> int:
         return self.table[x][y]
 
-    def inv_op(self, x: int, y: int) -> int:
-        return inverse_op(self)[x][y]
-
     def column(self, y: int) -> tuple[int, ...]:
         """The right translation by y as a permutation tuple."""
         return tuple(self.table[x][y] for x in range(self.size))
@@ -122,9 +119,6 @@ class InnerGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains(self, perm: tuple[int, ...]) -> bool:
-        return perm in set(self.elements)
 
 
 def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:

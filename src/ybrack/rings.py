@@ -20,6 +20,7 @@ are pure functions; everything here is safe to share between threads.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from fractions import Fraction
@@ -142,7 +143,7 @@ class PrimeField(Ring):
     is_field = True
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 

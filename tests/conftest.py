@@ -78,3 +78,8 @@ def small_rack_sample():
     racks.append(yb.conjugation_rack(double_transpositions))
     assert len(racks) >= 20
     return racks
+
+
+def sample_degrees(rack):
+    """Cochain degrees checked on every sample rack: 1-2, and 3 when q <= 3."""
+    return (1, 2, 3) if rack.size <= 3 else (1, 2)

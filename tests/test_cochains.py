@@ -7,7 +7,7 @@ from ybrack.cochains import sub as csub, cochain_to_vector
 from ybrack.indexing import decode_tuple
 
 import oracles
-from conftest import cochain_dict, random_cochain
+from conftest import cochain_dict, random_cochain, sample_degrees, small_rack_sample
 
 F2 = yb.PrimeField(2)
 F3 = yb.PrimeField(3)
@@ -39,12 +39,12 @@ def assert_matches_oracle(f, i, rng, samples=120):
 
 def test_partial_coboundary_matches_direct_substitution():
     rng = np.random.default_rng(100)
-    for rack in (yb.catalog.dihedral3(), yb.catalog.quandle3(), yb.catalog.dihedral4()):
+    for rack in small_rack_sample():
         for ring in (F2, F5, QQ):
             for n in (1, 2):
                 f = random_cochain(rack, n, ring, rng)
                 for i in range(n + 1):
-                    assert_matches_oracle(f, i, rng)
+                    assert_matches_oracle(f, i, rng, samples=40)
 
 
 def test_partial_coboundary_single_indicator_oracle():
@@ -99,15 +99,28 @@ def test_partial_coboundaries_commute():
 
 def test_coboundary_matrix_agrees_with_coboundary():
     rng = np.random.default_rng(43)
-    for rack in (yb.catalog.quandle3(), yb.catalog.dihedral3()):
-        for ring in (F2, F3):
-            for n in (1, 2):
+    for rack in small_rack_sample():
+        for ring in (F2, F3, QQ):
+            for n in sample_degrees(rack):
                 mat = yb.coboundary_matrix(rack, ring, n)
-                for _ in range(50):
+                for _ in range(2):
                     f = random_cochain(rack, n, ring, rng)
                     via_matrix = mat.apply(cochain_to_vector(f))
                     direct = cochain_to_vector(yb.coboundary(f))
                     assert via_matrix == direct
+
+
+def test_restricted_coboundary_matrix_is_the_submatrix():
+    for rack in small_rack_sample():
+        for ring in (F3, QQ):
+            for n in sample_degrees(rack):
+                full = yb.coboundary_matrix(rack, ring, n)
+                for mode in ("diagonal", "quasidiagonal"):
+                    restricted = yb.coboundary_matrix(rack, ring, n, subcomplex=mode)
+                    want = full.submatrix(yb.pair_basis(rack, n + 1, mode),
+                                          yb.pair_basis(rack, n, mode))
+                    assert (restricted.rows, restricted.cols) == (want.rows, want.cols)
+                    assert list(restricted.nonzero_items()) == list(want.nonzero_items())
 
 
 def test_coboundary_matrix_composition_is_zero():
@@ -194,6 +207,23 @@ def test_rack_coboundary_against_oracle():
                 args = decode_tuple(rack.size, code, n + 1)
                 assert int(out.values[code]) == \
                     oracles.rack_coboundary_entry(rack, table, args)
+
+
+def test_rack_coboundary_matrix_against_oracle():
+    # column c of the matrix is the rack coboundary of the indicator of c
+    for rack in small_rack_sample():
+        q = rack.size
+        for ring in (F3, QQ):
+            for n in sample_degrees(rack):
+                mat = yb.rack_coboundary_matrix(rack, ring, n)
+                assert (mat.rows, mat.cols) == (q ** (n + 1), q**n)
+                got = {pos: v for pos, v in mat.nonzero_items()}
+                for col in range(q**n):
+                    table = {decode_tuple(q, col, n): 1}
+                    for row in range(q ** (n + 1)):
+                        want = oracles.rack_coboundary_entry(
+                            rack, table, decode_tuple(q, row, n + 1))
+                        assert ring.eq(got.get((row, col), ring.zero()), ring.from_int(want))
 
 
 def test_rack_coboundary_squared_is_zero():

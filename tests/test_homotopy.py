@@ -203,3 +203,43 @@ def test_quasidiagonal_representative_rejects_non_cocycles():
     with pytest.raises(yb.NotACocycleError) as err:
         yb.quasidiagonal_representative(f)
     assert err.value.witness is not None
+
+
+def test_witness_map_postcondition_names_the_pair(monkeypatch):
+    # a corrupted inverse table yields preimages that miss their common image
+    rack = yb.catalog.dihedral3()
+    shifted = tuple(tuple((v + 1) % 3 for v in row) for row in yb.inverse_op(rack))
+    monkeypatch.setattr(yb.homotopy, "inverse_op", lambda _rack: shifted)
+    with pytest.raises(yb.PostconditionError) as err:
+        yb.build_witness_map.__wrapped__(rack)
+    (x, y), (u, v) = err.value.witness["pair"], err.value.witness["uv"]
+    assert (x, y) == (0, 1) and (u, v) == (1, 0)
+    assert not rack.op(u, x) == rack.op(v, y) == 0  # z = 0 separates the shifted table
+
+
+def test_representative_checks_each_level_exchange(monkeypatch):
+    # a level projection that disagrees with f + d(step) is reported at the
+    # first differing entry
+    rack = yb.catalog.quandle3()
+    ident = yb.identity_cochain(rack, 2, F2)
+    monkeypatch.setattr(yb.homotopy, "level_projection",
+                        lambda f, m: yb.zero_cochain(f.rack, f.degree, f.ring))
+    with pytest.raises(yb.PostconditionError) as err:
+        yb.quasidiagonal_representative(ident)
+    assert err.value.witness == ((0, 0), (0, 0))
+
+
+def test_representative_checks_the_result_is_quasidiagonal(monkeypatch):
+    # with the homotopy switched off every level exchange holds trivially,
+    # so only the final check can catch the cocycle that never moved
+    rack = yb.catalog.dihedral3()
+    rng = np.random.default_rng(77)
+    f = yb.coboundary(random_cochain(rack, 1, F3, rng))
+    assert not f.is_quasidiagonal()
+    monkeypatch.setattr(yb.homotopy, "insertion_homotopy",
+                        lambda g, m: yb.zero_cochain(g.rack, g.degree - 1, g.ring))
+    monkeypatch.setattr(yb.homotopy, "level_projection", lambda g, m: g)
+    with pytest.raises(yb.PostconditionError) as err:
+        yb.quasidiagonal_representative(f)
+    xs, ys = err.value.witness
+    assert xs != ys and f.entry(xs, ys) != 0  # dihedral3 is faithful

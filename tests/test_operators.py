@@ -187,3 +187,9 @@ def test_operator_dump_round_trip():
     back = yb.load_operator(text, rack=rack)
     assert back.ring == ring
     assert ring.mat_eq(back.matrix, defm.operator.matrix)
+
+
+@pytest.mark.parametrize("rows", [8, 2**62 + 1])
+def test_load_operator_refuses_a_non_square_row_count(rows):
+    with pytest.raises(ValueError, match=f"{rows} rows, which is not a perfect square"):
+        yb.load_operator(f"F2\n{rows} 1 2\n")

@@ -43,9 +43,9 @@ ring = yb.parse_ring("F2[h]/h^3")
 params = {k: ring.zero() for k in ("ap", "app", "bp", "bpp", "gp", "gpp", "dp", "dpp")}
 params["ap"] = ring.lift_digit(1, 1)
 defm = yb.instantiate_family("dihedral4-g", ring, params)
-print(f"dihedral4-g with alpha' = h, alpha'' = 0 over {ring}:")
-print(f"  holds modulo h^2: {yb.ybe_holds_mod(defm.operator, 2)}")
-print(f"  holds modulo h^3: {yb.ybe_holds_mod(defm.operator, 3)}")
 verdict = yb.check_ybe(defm.operator)
+print(f"dihedral4-g with alpha' = h, alpha'' = 0 over {ring}:")
+print(f"  holds modulo h^2: {verdict.holds_mod(2)}")
+print(f"  holds modulo h^3: {verdict.holds_mod(3)}")
 print(f"  first failure at order {verdict.failure_order}, "
       f"entry {verdict.witness[:2]}")

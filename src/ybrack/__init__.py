@@ -26,7 +26,7 @@ from .racks import (BehaviorPartition, ClosureError, InnerGroup, RackAxiomError,
 from .operators import (GaugeTransform, InvalidOperatorError, YBEVerdict,
                         YBOperator, check_ybe, deform, deformation_term,
                         dump_operator, gauge_conjugate, lift, load_operator,
-                        operator_from_matrix, rack_operator, ybe_holds_mod)
+                        operator_from_matrix, rack_operator)
 from .cochains import (Cochain, CoefficientError, RackCochain, SizeGuardError,
                        coboundary, coboundary_matrix, cochain_from_entries,
                        cochain_to_vector, cohomology_dim, diagonal_part,

@@ -23,12 +23,11 @@ import numpy as np
 
 from . import catalog, linalg
 from .cochains import cohomology_dim, pair_basis, pair_mask
-from .deformations import (TruncatedDeformation, check_family_claims,
+from .deformations import (TruncatedDeformation, YBEFailure, check_family_claims,
                            instantiate_family, quasidiagonalize,
                            random_family_parameters, rigidity_check)
 from .operators import (GaugeTransform, check_ybe, dump_operator,
-                        gauge_conjugate, load_operator, rack_operator,
-                        ybe_holds_mod)
+                        gauge_conjugate, load_operator, rack_operator)
 from .racks import RackAxiomError, behavior_partition, inner_group, load_rack
 from .rings import PrimeField, Rationals, parse_ring
 
@@ -236,11 +235,10 @@ def _example_sections(rng) -> dict:
     ring = parse_ring("F2[h]/h^3")
     params = {k: ring.zero() for k in ("ap", "app", "bp", "bpp", "gp", "gpp", "dp", "dpp")}
     params["ap"] = ring.lift_digit(1, 1)
-    defm = instantiate_family("dihedral4-g", ring, params)
+    verdict = check_ybe(instantiate_family("dihedral4-g", ring, params).operator)
+    mod2, mod3 = verdict.holds_mod(2), verdict.holds_mod(3)
     families["dihedral4-g alpha'=h (F2[h]/h^3)"] = {
-        "holds_mod_h2": ybe_holds_mod(defm.operator, 2),
-        "holds_mod_h3": ybe_holds_mod(defm.operator, 3),
-        "match": ybe_holds_mod(defm.operator, 2) and not ybe_holds_mod(defm.operator, 3)}
+        "holds_mod_h2": mod2, "holds_mod_h3": mod3, "match": mod2 and not mod3}
     sections["families"] = families
 
     rigidity = {}
@@ -339,16 +337,14 @@ def cmd_quasidiagonalize(args) -> int:
         print(f"cannot read {args.input}: {err}", file=sys.stderr)
         return USAGE_FAILURE
 
-    verdict = check_ybe(defm.operator)
-    if not verdict.holds:
+    try:
+        gauges, final = quasidiagonalize(defm)
+    except YBEFailure as err:
         report.ok = False
-        report.results = {"error": "input fails the Yang-Baxter equation",
-                          "failure_order": verdict.failure_order,
-                          "witness": list(verdict.witness[:2])}
+        report.results = {"error": str(err), "failure_order": err.order,
+                          "witness": list(err.witness[:2])}
         _finish(report, started, args.json_out)
         return MATH_FAILURE
-
-    gauges, final = quasidiagonalize(defm)
     offqd = ~pair_mask(rack, 2, "quasidiagonal")
     term = final.term_offset()
     residual = sum(int(np.count_nonzero(ring.digit_matrix(term, k).T * offqd))

@@ -29,7 +29,7 @@ from .cochains import (Cochain, cochain_to_vector, coboundary,
 from .homotopy import quasidiagonal_representative
 from .operators import (GaugeTransform, YBOperator, check_ybe, deform,
                         deformation_term, gauge_conjugate, rack_operator,
-                        ybe_holds_mod)
+                        _rack_grid)
 from .racks import RackTable
 from .rings import Ring
 
@@ -56,19 +56,13 @@ class TruncatedDeformation:
     def __post_init__(self):
         if not self.ring.is_truncated:
             raise DeformationError("deformations need a truncated coefficient ring")
-        base = rack_operator(self.rack, self.ring)
         residue = self.ring.residue_matrix(self.operator.matrix)
-        base_residue = self.ring.residue_matrix(base.matrix)
-        if np.any((residue - base_residue) % self.ring.p):
+        if np.any((residue - _rack_grid(self.rack)) % self.ring.p):
             raise DeformationError("operator is not congruent to the rack operator mod the ideal")
 
-    def term_matrix(self):
-        """F with c = c_Q . F, in ring layout (column = input pair)."""
-        return self.ring.mat_add(deformation_term(self.operator),
-                                 self.ring.eye(self.rack.size ** 2))
-
     def term_offset(self):
-        """F - id; every entry has positive valuation."""
+        """F - id for c = c_Q . F, in ring layout (column = input pair); every
+        entry has positive valuation."""
         return deformation_term(self.operator)
 
     def check(self):
@@ -99,33 +93,25 @@ class GaugeSequence:
             acc = self.ring.mat_mul(acc, factor)
         return acc
 
-    def conjugate(self, op: YBOperator) -> YBOperator:
-        out = op
-        for factor in self.factors:
-            out = gauge_conjugate(out, GaugeTransform(self.ring, factor))
-        return out
-
     def unconjugate(self, op: YBOperator) -> YBOperator:
         """Inverse conjugation; applied to the engine output it returns the input."""
-        ring = self.ring
-        alpha = self.composite(op.dim)
-        a2 = ring.mat_kron(alpha, alpha)
-        a2_inv = ring.mat_inv(a2)
-        matrix = ring.mat_mul(a2, ring.mat_mul(op.matrix, a2_inv))
-        return YBOperator(ring=ring, dim=op.dim, matrix=matrix, rack=op.rack)
+        inverse = self.ring.mat_inv(self.composite(op.dim))
+        return gauge_conjugate(op, GaugeTransform(self.ring, inverse))
 
 
 def split_non_quasidiagonal(defm: TruncatedDeformation, order: int) -> Cochain:
     """Order-k coefficient of the non-quasi-diagonal entries of the term.
 
-    Requires the term to be quasi-diagonal modulo m^order.  When the
-    operator satisfies the braid relation modulo m^(order+1) the result is a
-    2-cocycle over the residue field; this is asserted, and a failure marks
-    the input as an invalid deformation.
+    Requires the term to be quasi-diagonal modulo m^order.  The identity part
+    of the term is diagonal, hence quasi-diagonal, so the offset F - id is
+    read.  When the operator satisfies the braid relation modulo m^(order+1)
+    the result is a 2-cocycle over the residue field.  A result that is not
+    a cocycle raises DeformationError if the braid relation does hold that
+    far; the relation is only checked once the cocycle test has failed.
     """
     ring = defm.ring
     rack = defm.rack
-    term = defm.term_matrix()
+    term = defm.term_offset()
     offdiag = ~pair_mask(rack, 2, "quasidiagonal")  # symmetric, so layout-safe
     for k in range(order):
         digit = ring.digit_matrix(term, k)
@@ -136,7 +122,7 @@ def split_non_quasidiagonal(defm: TruncatedDeformation, order: int) -> Cochain:
     digit = ring.digit_matrix(term, order)
     values = (digit.T * offdiag) % field_ring.p
     result = Cochain(rack, 2, field_ring, values)
-    if ybe_holds_mod(defm.operator, order + 1) and not coboundary(result).is_zero():
+    if not coboundary(result).is_zero() and defm.check().holds_mod(order + 1):
         raise DeformationError(
             "extracted part is not a cocycle; the input is not a valid deformation")
     return result
@@ -312,8 +298,9 @@ def check_family_claims(name: str, ring: Ring, params: dict) -> FamilyReport:
     if name == "dihedral4-g" and ring.p != 2:
         raise ValueError("the g-family is specific to characteristic 2")
     defm = instantiate_family(name, ring, params)
-    verdicts = {k: ybe_holds_mod(defm.operator, k) for k in range(1, ring.order + 1)}
-    exact = defm.check().holds
+    verdict = defm.check()
+    verdicts = {k: verdict.holds_mod(k) for k in range(1, ring.order + 1)}
+    exact = verdict.holds
     symmetric = _primed_pairs_equal(ring, params)
     if name == "quandle3-f":
         claim_holds = exact

@@ -40,6 +40,10 @@ class YBEVerdict:
     def __bool__(self) -> bool:
         return self.holds
 
+    def holds_mod(self, k: int) -> bool:
+        """Braid relation modulo the k-th ideal power (truncated rings)."""
+        return self.holds or (self.failure_order is not None and self.failure_order >= k)
+
 
 @dataclass(frozen=True)
 class YBOperator:
@@ -54,14 +58,20 @@ class YBOperator:
         return self.ring.mat_entry(self.matrix, code_out, code_in)
 
 
-def rack_operator(rack: RackTable, ring: Ring) -> YBOperator:
-    """The permutation operator (x1, x2) -> (x2, x1 * x2) of a rack."""
+def _rack_grid(rack: RackTable) -> np.ndarray:
+    """0/1 int64 permutation matrix of (x1, x2) -> (x2, x1 * x2)."""
     n = rack.size
     grid = np.zeros((n * n, n * n), dtype=np.int64)
     for x1 in range(n):
         for x2 in range(n):
             grid[x2 * n + rack.op(x1, x2), x1 * n + x2] = 1
-    return YBOperator(ring=ring, dim=n, matrix=ring.from_int_matrix(grid), rack=rack)
+    return grid
+
+
+def rack_operator(rack: RackTable, ring: Ring) -> YBOperator:
+    """The permutation operator (x1, x2) -> (x2, x1 * x2) of a rack."""
+    matrix = ring.from_int_matrix(_rack_grid(rack))
+    return YBOperator(ring=ring, dim=rack.size, matrix=matrix, rack=rack)
 
 
 def operator_from_matrix(ring: Ring, dim: int, matrix, rack: RackTable | None = None,
@@ -115,14 +125,6 @@ def check_ybe(op: YBOperator) -> YBEVerdict:
     return YBEVerdict(holds=False, witness=witness, failure_order=order)
 
 
-def ybe_holds_mod(op: YBOperator, k: int) -> bool:
-    """Braid relation modulo the k-th ideal power (truncated rings)."""
-    verdict = check_ybe(op)
-    if verdict.holds:
-        return True
-    return verdict.failure_order is not None and verdict.failure_order >= k
-
-
 @dataclass(frozen=True)
 class GaugeTransform:
     """An automorphism of V congruent to the identity modulo the ideal."""
@@ -144,11 +146,14 @@ class GaugeTransform:
 
 
 def gauge_conjugate(op: YBOperator, alpha: GaugeTransform) -> YBOperator:
-    """(alpha tensor alpha)^-1 . c . (alpha tensor alpha), exactly."""
+    """(alpha tensor alpha)^-1 . c . (alpha tensor alpha), exactly.
+
+    The inverse is taken as alpha^-1 tensor alpha^-1, a dim x dim inversion.
+    """
     ring = op.ring
+    a_inv = ring.mat_inv(alpha.matrix)
     a2 = ring.mat_kron(alpha.matrix, alpha.matrix)
-    a2_inv = ring.mat_inv(a2)
-    conjugated = ring.mat_mul(a2_inv, ring.mat_mul(op.matrix, a2))
+    conjugated = ring.mat_mul(ring.mat_kron(a_inv, a_inv), ring.mat_mul(op.matrix, a2))
     return YBOperator(ring=ring, dim=op.dim, matrix=conjugated, rack=op.rack)
 
 
@@ -174,9 +179,8 @@ def deformation_term(op: YBOperator) -> object:
     if op.rack is None:
         raise InvalidOperatorError("operator does not carry a rack")
     ring = op.ring
-    base = rack_operator(op.rack, ring)
-    # the rack operator is a permutation matrix, so its inverse is exact
-    base_inv = ring.mat_inv(base.matrix)
+    # the rack operator is a permutation matrix, so its inverse is its transpose
+    base_inv = ring.from_int_matrix(_rack_grid(op.rack).T)
     composite = ring.mat_mul(base_inv, op.matrix)
     return ring.mat_sub(composite, ring.eye(op.dim ** 2))
 

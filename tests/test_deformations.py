@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import ybrack as yb
-from ybrack import linalg
+from ybrack import deformations, linalg
 from ybrack.catalog import DIHEDRAL4_F, DIHEDRAL4_G, QUANDLE3_F
 from ybrack.cochains import cochain_to_vector, pair_mask, sub as csub
 
@@ -112,22 +114,43 @@ def test_split_of_gauged_family_is_a_coboundary_part():
         assert np.array_equal(got.values, minus_dg.values * off % 2)
 
 
-@pytest.mark.parametrize("spec,family", [
+ROUND_TRIP_CASES = [
     ("F2[h]/h^4", "quandle3-f"),
     ("F3[h]/h^3", "dihedral4-f"),
     ("Z/2^2", "quandle3-f"),
     ("Z/3^2", "quandle3-f"),
-])
-def test_quasidiagonalize_round_trip(spec, family):
+]
+
+
+def disguised_family_instances(spec, family):
+    """Five symmetric family draws, each hidden behind a random gauge."""
     ring = yb.parse_ring(spec)
     rng = np.random.default_rng(81)
     for _ in range(5):
         params = yb.random_family_parameters(family, ring, rng, symmetric=True)
         clean = yb.instantiate_family(family, ring, params)
         alpha = random_gauge(ring, clean.rack.size, rng)
-        disguised = yb.TruncatedDeformation(
+        yield clean, yb.TruncatedDeformation(
             rack=clean.rack, ring=ring,
             operator=yb.gauge_conjugate(clean.operator, alpha))
+
+
+def count_ybe_checks(monkeypatch):
+    """Route deformations.check_ybe through a counter; returns the call list."""
+    calls = []
+
+    def counting(op):
+        calls.append(op)
+        return yb.check_ybe(op)
+
+    monkeypatch.setattr(deformations, "check_ybe", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec,family", ROUND_TRIP_CASES)
+def test_quasidiagonalize_round_trip(spec, family):
+    ring = yb.parse_ring(spec)
+    for clean, disguised in disguised_family_instances(spec, family):
         gauges, final = yb.quasidiagonalize(disguised)
         assert offdiagonal_entry_count(final) == 0
         assert final.check().holds
@@ -135,6 +158,63 @@ def test_quasidiagonalize_round_trip(spec, family):
         assert ring.mat_eq(back.matrix, disguised.operator.matrix)
         for order, factor in zip(gauges.orders, gauges.factors):
             assert ring.min_valuation(ring.mat_sub(factor, ring.eye(clean.rack.size))) >= order
+
+
+@pytest.mark.parametrize("spec,family", ROUND_TRIP_CASES)
+def test_quasidiagonalize_checks_the_braid_relation_once_per_operator(
+        spec, family, monkeypatch):
+    # the input, then each conjugated operator; the splits never ask
+    calls = count_ybe_checks(monkeypatch)
+    for _, disguised in disguised_family_instances(spec, family):
+        calls.clear()
+        gauges, _ = yb.quasidiagonalize(disguised)
+        assert len(calls) == 1 + len(gauges.factors)
+
+
+@pytest.mark.parametrize("spec,family", ROUND_TRIP_CASES)
+def test_unconjugate_undoes_each_factor_in_turn(spec, family):
+    ring = yb.parse_ring(spec)
+    rng = np.random.default_rng(88)
+    for clean, _ in disguised_family_instances(spec, family):
+        gauges = yb.GaugeSequence(ring=ring)
+        conjugated = clean.operator
+        for order in range(1, ring.order):
+            alpha = random_gauge(ring, clean.rack.size, rng)
+            conjugated = yb.gauge_conjugate(conjugated, alpha)
+            gauges.append(alpha.matrix, order)
+        back = gauges.unconjugate(conjugated)
+        assert ring.mat_eq(back.matrix, clean.operator.matrix)
+
+
+def test_family_claims_check_the_braid_relation_once(monkeypatch):
+    calls = count_ybe_checks(monkeypatch)
+    rng = np.random.default_rng(89)
+    for name, spec in (("quandle3-f", "F5[h]/h^4"), ("dihedral4-f", "F3[h]/h^4"),
+                       ("dihedral4-g", "F2[h]/h^3")):
+        ring = yb.parse_ring(spec)
+        calls.clear()
+        report = yb.check_family_claims(
+            name, ring, yb.random_family_parameters(name, ring, rng))
+        assert len(calls) == 1
+        assert set(report.verdict_by_order) == set(range(1, ring.order + 1))
+
+
+def test_split_raises_on_a_non_cocycle_of_an_exact_solution(monkeypatch):
+    # the braid relation holds exactly, so an extracted part that is not a
+    # cocycle marks the input as invalid; the relation is consulted only
+    # once the cocycle test has failed
+    ring = yb.parse_ring("F5[h]/h^4")
+    params = {f"l{i}": ring.lift_digit(i % 5, 1) for i in range(1, 10)}
+    defm = yb.instantiate_family("quandle3-f", ring, params)
+    assert defm.check().holds
+    calls = count_ybe_checks(monkeypatch)
+    yb.split_non_quasidiagonal(defm, 1)
+    assert calls == []
+    monkeypatch.setattr(deformations, "coboundary",
+                        lambda f: SimpleNamespace(is_zero=lambda: False))
+    with pytest.raises(yb.DeformationError, match="not a cocycle"):
+        yb.split_non_quasidiagonal(defm, 1)
+    assert len(calls) == 1
 
 
 def test_quasidiagonalize_of_quasidiagonal_input_is_trivial():
@@ -205,9 +285,9 @@ def test_family_reports_dihedral4_g_both_directions():
     params = {k: ring.zero() for k in G_NAMES}
     params["ap"] = ring.lift_digit(1, 1)
     defm = yb.instantiate_family("dihedral4-g", ring, params)
-    assert yb.ybe_holds_mod(defm.operator, 2)
-    assert not yb.ybe_holds_mod(defm.operator, 3)
     verdict = yb.check_ybe(defm.operator)
+    assert verdict.holds_mod(2)
+    assert not verdict.holds_mod(3)
     assert verdict.failure_order == 2
     for _ in range(3):
         params = yb.random_family_parameters("dihedral4-g", ring, rng, symmetric=True)

@@ -1,3 +1,4 @@
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +60,7 @@ def _random_matrix(ring, rng):
 @pytest.mark.parametrize("spec", ["F2", "F3", "F5", "Q"])
 def test_rank_nullity_and_kernel_exactness(spec):
     ring = yb.parse_ring(spec)
-    rng = np.random.default_rng(hash(spec) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(spec.encode()))
     for _ in range(200):
         m = _random_matrix(ring, rng)
         basis = linalg.kernel_basis(m)
@@ -72,7 +73,7 @@ def test_rank_nullity_and_kernel_exactness(spec):
 @pytest.mark.parametrize("spec", ["F2", "F3", "F5", "Q"])
 def test_rank_equals_transpose_rank(spec):
     ring = yb.parse_ring(spec)
-    rng = np.random.default_rng(hash(spec + "t") % 2**32)
+    rng = np.random.default_rng(zlib.crc32((spec + "t").encode()))
     for _ in range(200):
         m = _random_matrix(ring, rng)
         assert linalg.rank(m) == linalg.rank(m.transpose())

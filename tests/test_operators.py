@@ -193,3 +193,41 @@ def test_operator_dump_round_trip():
 def test_load_operator_refuses_a_non_square_row_count(rows):
     with pytest.raises(ValueError, match=f"{rows} rows, which is not a perfect square"):
         yb.load_operator(f"F2\n{rows} 1 2\n")
+
+
+INVERSE_RINGS = ["F2[h]/h^4", "F3[h]/h^3", "Z/2^2", "Z/3^2"]
+
+
+def random_ideal_matrix(ring, rows, cols, rng):
+    """Random matrix with every entry in the maximal ideal."""
+    out = ring.zeros(rows, cols)
+    for k in range(1, ring.order):
+        out = ring.mat_add(out, ring.lift_digit_matrix(
+            rng.integers(0, ring.p, size=(rows, cols)), k))
+    return out
+
+
+@pytest.mark.parametrize("spec", INVERSE_RINGS)
+def test_gauge_conjugate_matches_the_kronecker_square_inverse(spec):
+    ring = yb.parse_ring(spec)
+    rng = np.random.default_rng(31)
+    for rack in (yb.catalog.quandle3(), yb.catalog.dihedral4()):
+        n = rack.size
+        op = yb.deform(yb.rack_operator(rack, ring), random_ideal_matrix(ring, n * n, n * n, rng))
+        for _ in range(3):
+            alpha = ring.mat_add(ring.eye(n), random_ideal_matrix(ring, n, n, rng))
+            a2 = ring.mat_kron(alpha, alpha)
+            want = ring.mat_mul(ring.mat_inv(a2), ring.mat_mul(op.matrix, a2))
+            got = yb.gauge_conjugate(op, yb.GaugeTransform(ring, alpha))
+            assert ring.mat_eq(got.matrix, want)
+
+
+@pytest.mark.parametrize("spec", INVERSE_RINGS)
+def test_deformation_term_inverts_deform(spec):
+    ring = yb.parse_ring(spec)
+    rng = np.random.default_rng(32)
+    for rack in small_rack_sample()[::4]:
+        n2 = rack.size ** 2
+        term = random_ideal_matrix(ring, n2, n2, rng)
+        op = yb.deform(yb.rack_operator(rack, ring), term)
+        assert ring.mat_eq(yb.deformation_term(op), term)

@@ -16,9 +16,10 @@ each at most once, so it is an int64 gather plus an indexed add: exact, and
 Coefficients: a prime field reduces entries mod p; rationals are handled
 with integer representatives (the complex maps are additive with unit
 coefficients, so integer cochains span the rational theory and no
-denominators ever arise outside of rank computations, which use exact
-fraction elimination).  Truncated-ring values are allowed for the degree-2
-deformation terms but not under the coboundary.
+denominators ever arise outside of rank computations, whose RREF over Q
+:mod:`ybrack.linalg` reconstructs from residues and certifies exactly).
+Truncated-ring values are allowed for the degree-2 deformation terms but
+not under the coboundary.
 """
 
 from __future__ import annotations

@@ -23,9 +23,8 @@ import numpy as np
 
 from . import linalg
 from .catalog import FAMILIES, family_parameters
-from .cochains import (Cochain, cochain_to_vector, coboundary,
-                       coboundary_matrix, cohomology_dim, identity_cochain,
-                       pair_mask, zero_cochain)
+from .cochains import (Cochain, cochain_to_vector, coboundary, coboundary_matrix,
+                       identity_cochain, pair_mask, zero_cochain)
 from .homotopy import quasidiagonal_representative
 from .operators import (GaugeTransform, YBOperator, check_ybe, deform,
                         deformation_term, gauge_conjugate, rack_operator,
@@ -182,13 +181,15 @@ def rigidity_check(rack: RackTable, ring: Ring) -> RigidityReport:
 
     Checks dim H^2 = 1, that the identity cochain is a cocycle, and that it
     is not a coboundary (exact linear solve), so the one class really is the
-    scalar deformation class.
+    scalar deformation class.  rank d^1 and that solve come from one
+    elimination of [d^1 | identity].
     """
-    dim = cohomology_dim(rack, ring, 2)
     ident = identity_cochain(rack, 2, ring)
     is_cocycle = coboundary(ident).is_zero()
     d1 = coboundary_matrix(rack, ring, 1)
-    solution = linalg.solve(d1, cochain_to_vector(ident))
+    d2 = coboundary_matrix(rack, ring, 2)
+    rank_d1, solution = linalg.rank_and_solve(d1, cochain_to_vector(ident))
+    dim = d2.cols - linalg.rank(d2) - rank_d1
     return RigidityReport(rack=rack, ring=ring, dimension=dim,
                           identity_is_cocycle=is_cocycle,
                           identity_nontrivial=solution is None)

@@ -87,3 +87,65 @@ def pairing_value(q, n, chain, cochain):
     for (xs, ys), coeff in chain.items():
         total += coeff * cochain.get((ys, xs), 0)
     return total
+
+
+def rref_longhand(grid, ring):
+    """Gauss-Jordan on row dicts {col: value} with the ring's own scalars
+    (``Fraction`` over Q, Python ints mod p over F_p).
+
+    ``grid`` is a list of rows.  Returns the pivot columns and
+    {pivot column: its reduced row as {col: value}}.
+    """
+    rows = [{j: v for j, v in enumerate(row) if not ring.is_zero(v)} for row in grid]
+    cols = len(grid[0]) if grid else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((k for k in range(r, len(rows)) if c in rows[k]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ring.inv(rows[r][c])
+        rows[r] = {j: ring.mul(inv, v) for j, v in rows[r].items()}
+        for k in range(len(rows)):
+            coeff = rows[k].get(c)
+            if k == r or coeff is None:
+                continue
+            for j, v in rows[r].items():
+                new = ring.sub(rows[k].get(j, ring.zero()), ring.mul(coeff, v))
+                if ring.is_zero(new):
+                    rows[k].pop(j, None)
+                else:
+                    rows[k][j] = new
+        pivots.append(c)
+        r += 1
+    return pivots, {c: rows[k] for k, c in enumerate(pivots)}
+
+
+def kernel_longhand(grid, ring):
+    """One kernel vector per free column, in column order, read off the RREF."""
+    cols = len(grid[0]) if grid else 0
+    pivots, reduced = rref_longhand(grid, ring)
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        vec = [ring.zero()] * cols
+        vec[free] = ring.one()
+        for c in pivots:
+            if free in reduced[c]:
+                vec[c] = ring.neg(reduced[c][free])
+        basis.append(vec)
+    return basis
+
+
+def solve_longhand(grid, rhs, ring):
+    """The solution of Mx = rhs with free coordinates zero, or None."""
+    cols = len(grid[0])
+    pivots, reduced = rref_longhand([list(row) + [b] for row, b in zip(grid, rhs)], ring)
+    if cols in pivots:
+        return None
+    x = [ring.zero()] * cols
+    for c in pivots:
+        x[c] = reduced[c].get(cols, ring.zero())
+    return x

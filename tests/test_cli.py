@@ -76,6 +76,13 @@ def test_cohomology_quasidiag_reports_reduction(capsys):
     assert "basis_reduction: 81 -> 25" in out
 
 
+def test_cohomology_refuses_primes_beyond_exact_int64_elimination(capsys):
+    code, _, err = run_cli(
+        ["cohomology", str(DATA / "quandle3.rack"), "--char", "4294967311"], capsys)
+    assert code == 2
+    assert "F4294967311" in err and "3037000493" in err
+
+
 def test_report_sidecar_matches_library_values(capsys, tmp_path):
     sidecar = tmp_path / "report.json"
     code, out, _ = run_cli(

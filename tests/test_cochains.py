@@ -162,6 +162,14 @@ def test_cohomology_dims_match_reported_values():
     assert yb.cohomology_dim(yb.catalog.dihedral4(), F5, 2) == 16
 
 
+@pytest.mark.parametrize("spec,dimension", [("F2", 96), ("Q", 64)])
+def test_full_and_quasidiagonal_h3_agree_on_dihedral4(spec, dimension):
+    # the paper's theorem at degree 3, on the full 65536 x 4096 coboundary
+    rack, ring = yb.catalog.dihedral4(), yb.parse_ring(spec)
+    assert yb.cohomology_dim(rack, ring, 3) == dimension
+    assert yb.cohomology_dim(rack, ring, 3, subcomplex="quasidiagonal") == dimension
+
+
 def test_projections_are_idempotent_and_commute_with_d():
     rng = np.random.default_rng(44)
     for rack in (yb.catalog.quandle3(), yb.catalog.dihedral4()):

@@ -252,6 +252,24 @@ def test_quandle3_is_not_rigid():
     assert not report.rigid and report.dimension == 9
 
 
+@pytest.mark.parametrize("spec", ["F2", "F3", "F5", "Q"])
+@pytest.mark.parametrize("name,dimension", [("dihedral3", 1), ("quandle3", 9)])
+def test_rigidity_check_eliminates_d1_once(monkeypatch, name, dimension, spec):
+    calls = []
+    real = linalg._reduced_form
+
+    def counting(mat):
+        calls.append((mat.rows, mat.cols))
+        return real(mat)
+    monkeypatch.setattr(linalg, "_reduced_form", counting)
+    report = yb.rigidity_check(getattr(yb.catalog, name)(), yb.parse_ring(spec))
+    assert (report.dimension, report.identity_is_cocycle, report.identity_nontrivial) == \
+        (dimension, True, True)
+    assert report.rigid == (dimension == 1)
+    q = report.rack.size
+    assert calls == [(q**4, q**2 + 1), (q**6, q**4)]  # [d^1 | identity], then d^2
+
+
 def test_family_reports_quandle3():
     ring = yb.parse_ring("F5[h]/h^4")
     rng = np.random.default_rng(82)

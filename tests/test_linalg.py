@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,8 @@ import pytest
 import ybrack as yb
 from ybrack import linalg
 from ybrack.rings import NotAFieldError
+
+import oracles
 
 
 def matrix(ring, grid):
@@ -97,22 +104,200 @@ def test_solve_detects_inconsistency():
     assert linalg.solve(m, [1, 2]) is None
 
 
-def test_sparse_and_dense_elimination_agree():
-    # RREF is canonical, so the two elimination paths must agree exactly
-    import ybrack.linalg as ll
+def _scalars(ring, grid):
+    return [[ring.from_int(int(v)) for v in row] for row in grid]
+
+
+def _block_matrix(ring, rng):
+    """A random matrix made of a few blocks, rows and columns shuffled, in
+    coordinate storage, and the same matrix as a list of rows of scalars.
+    Over Q some entries are fractions."""
+    shapes = [tuple(int(s) for s in rng.integers(1, 7, size=2))
+              for _ in range(int(rng.integers(1, 5)))]
+    rows, cols = sum(h for h, _ in shapes), sum(w for _, w in shapes)
+    grid = [[ring.zero()] * cols for _ in range(rows)]
+    r = c = 0
+    for h, w in shapes:
+        for i in range(r, r + h):
+            for j in range(c, c + w):
+                if rng.random() < 0.6:
+                    v = ring.from_int(int(rng.integers(-9, 10)))
+                    if isinstance(ring, yb.Rationals):
+                        v = v / int(rng.integers(1, 4))
+                    grid[i][j] = v
+        r, c = r + h, c + w
+    row_order, col_order = rng.permutation(rows), rng.permutation(cols)
+    grid = [[grid[i][j] for j in col_order] for i in row_order]
+    mat = linalg.ExactMatrix.from_coordinates(
+        ring, rows, cols, ((i, j, v) for i, row in enumerate(grid)
+                           for j, v in enumerate(row) if not ring.is_zero(v)))
+    return mat, grid
+
+
+def _assert_matches_oracle(mat, grid, rng):
+    """rank, kernel_basis and solve agree with the longhand oracle, scalar
+    types included."""
+    ring = mat.ring
+    pivots, _ = oracles.rref_longhand(grid, ring)
+    assert linalg.rank(mat) == len(pivots)
+    kernel = linalg.kernel_basis(mat)
+    want = oracles.kernel_longhand(grid, ring)
+    assert kernel == want
+    assert [[type(v) for v in vec] for vec in kernel] == [[type(v) for v in vec] for vec in want]
+    x = [ring.from_int(int(v)) for v in rng.integers(-3, 4, size=mat.cols)]
+    for rhs in (mat.apply(x), [ring.from_int(int(v)) for v in rng.integers(-3, 4, size=mat.rows)]):
+        got = linalg.solve(mat, rhs)
+        assert got == oracles.solve_longhand(grid, rhs, ring)
+        assert got is None or [type(v) for v in got] == [type(ring.zero())] * mat.cols
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "F5", "Q"])
+def test_elimination_matches_the_longhand_oracle(spec):
+    ring = yb.parse_ring(spec)
+    rng = np.random.default_rng(zlib.crc32((spec + "oracle").encode()))
+    for _ in range(60):
+        mat, grid = _block_matrix(ring, rng)
+        _assert_matches_oracle(mat, grid, rng)
+        _assert_matches_oracle(matrix(ring, grid), grid, rng)  # dense storage: one block
+
+
+def _recording_primes(monkeypatch):
+    """Record the modulus of every mod-p elimination."""
+    primes = []
+    real = linalg._rref_mod_p
+
+    def recording(grid, p):
+        primes.append(p)
+        return real(grid, p)
+    monkeypatch.setattr(linalg, "_rref_mod_p", recording)
+    return primes
+
+
+def test_random_rational_matrices_that_need_several_primes(monkeypatch):
+    ring = yb.Rationals()
+    rng = np.random.default_rng(808)
+    primes = _recording_primes(monkeypatch)
+    for _ in range(10):
+        rows, cols = (int(v) for v in rng.integers(6, 13, size=2))
+        grid = _scalars(ring, rng.integers(-9, 10, size=(rows, cols)))
+        _assert_matches_oracle(matrix(ring, grid), grid, rng)
+    assert len(set(primes)) >= 3
+
+
+P31 = 2**31 - 1
+
+
+@pytest.mark.parametrize("grid", [
+    [[P31]],                                # zero mod P31
+    [[P31, 1]],                             # mod P31 the first pivot is lost
+    [[1, P31], [3, 3 * P31]],               # a column P31 times another
+    [[2, 0, 2 * P31], [0, P31, 1], [2, P31, 2 * P31 + 1]],
+])
+def test_entries_divisible_by_the_first_prime_are_certified(grid, monkeypatch):
+    ring = yb.Rationals()
+    primes = _recording_primes(monkeypatch)
+    grid = _scalars(ring, grid)
+    _assert_matches_oracle(matrix(ring, grid), grid, np.random.default_rng(0))
+    assert primes[0] == P31 and len(set(primes)) > 1
+
+
+def test_entries_beyond_int64_are_certified():
+    ring = yb.Rationals()
+    grid = _scalars(ring, [[2**70, 3, 1], [1, 2**65, 5], [2**70 + 1, 2**65 + 3, 6]])
+    grid[1][2], grid[2][2] = Fraction(5, 3), Fraction(8, 3)  # row 2 = row 0 + row 1
+    _assert_matches_oracle(matrix(ring, grid), grid, np.random.default_rng(1))
+
+
+def _perturbed(real):
+    """A reconstruction whose first reduced row is wrong in its last entry."""
+    def wrong(residues, modulus):
+        rebuilt = real(residues, modulus)
+        if rebuilt is None or not rebuilt[0].size:
+            return rebuilt
+        num, den = rebuilt
+        num = num.copy()
+        num[0, -1] += den[0, -1]
+        return num, den
+    return wrong
+
+
+def test_a_wrong_reconstruction_is_never_returned(monkeypatch):
+    monkeypatch.setattr(linalg, "_reconstruct", _perturbed(linalg._reconstruct))
+    m = matrix(yb.Rationals(), [[1, 2, 3], [4, 5, 6]])
+    for call in (linalg.rank, linalg.kernel_basis):
+        with pytest.raises(linalg.CertificationError):
+            call(m)
+
+
+def test_the_certificate_rejects_rows_that_are_not_reduced():
+    grid = np.array([[1, 1]], dtype=np.int64)
+    one = np.ones((1, 2), dtype=np.int64)
+    assert linalg._certify(grid, [0], grid, one)
+    # [1, 1] reproduces the grid from column 1 too, but is not reduced there
+    assert not linalg._certify(grid, [1], grid, one)
+    assert not linalg._certify(grid, [0], np.array([[1, 2]]), one)
+
+
+def test_the_certificate_holds_under_python_dash_o():
+    script = textwrap.dedent("""
+        import numpy as np
+        from ybrack import linalg
+        from ybrack.rings import Rationals
+        real = linalg._reconstruct
+
+        def wrong(residues, modulus):
+            num, den = real(residues, modulus)
+            num = num.copy()
+            num[0, -1] += den[0, -1]
+            return num, den
+
+        linalg._reconstruct = wrong
+        m = linalg.ExactMatrix.from_rows(Rationals(), [[1, 2, 3], [4, 5, 6]])
+        try:
+            linalg.rank(m)
+        except linalg.CertificationError:
+            print(__debug__, "rejected")
+        else:
+            print(__debug__, "returned")
+    """)
+    src = Path(linalg.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.split() == ["False", "rejected"]
+
+
+def test_largest_elimination_prime_matches_the_oracle():
+    p = linalg.MAX_PRIME
+    assert (p - 1) ** 2 + (p - 1) < 2**63 <= (3037000507 - 1) ** 2 + (3037000507 - 1)
+    for n in range(p + 1, 3037000507):
+        with pytest.raises(ValueError):
+            yb.PrimeField(n)
+    ring = yb.PrimeField(p)
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        left = rng.integers(0, p, size=(3, 2)).astype(object)
+        right = rng.integers(0, p, size=(2, 4)).astype(object)
+        grid = ((left @ right) % p).tolist()
+        _assert_matches_oracle(matrix(ring, grid), grid, rng)
+
+
+def test_primes_beyond_the_int64_bound_are_refused():
+    m = matrix(yb.PrimeField(3037000507), [[1, 2], [3, 4]])
+    for call in (linalg.rank, linalg.kernel_basis, lambda mat: linalg.solve(mat, [1, 1])):
+        with pytest.raises(ValueError, match="F3037000507.*3037000493"):
+            call(m)
+
+
+def test_a_block_too_large_to_densify_is_refused(monkeypatch):
     ring = yb.PrimeField(3)
-    rng = np.random.default_rng(11)
-    grid = rng.integers(0, 3, size=(12, 8))
-    dense = matrix(ring, grid)
-    fast_rank = linalg.rank(dense)
-    fast_kernel = linalg.kernel_basis(dense)
-    saved = ll._DENSE_ELIMINATION_LIMIT
-    try:
-        ll._DENSE_ELIMINATION_LIMIT = 0  # force the generic sparse path
-        assert linalg.rank(dense) == fast_rank
-        assert linalg.kernel_basis(dense) == fast_kernel
-    finally:
-        ll._DENSE_ELIMINATION_LIMIT = saved
+    m = linalg.ExactMatrix.from_coordinates(ring, 3, 3, [(0, 0, 1), (0, 1, 1), (1, 1, 1),
+                                                         (2, 2, 1)])
+    monkeypatch.setattr(linalg, "BLOCK_CELL_LIMIT", 3)
+    with pytest.raises(linalg.BlockSizeError, match="2x2 block"):
+        linalg.rank(m)
+    monkeypatch.setattr(linalg, "BLOCK_CELL_LIMIT", 4)
+    assert linalg.rank(m) == 3
 
 
 def test_dump_and_load_round_trip():

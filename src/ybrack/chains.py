@@ -9,9 +9,12 @@ element it reads, for position i = 1..n,
        = [x_i^{x_{i+1}..x_n} == y_i^{y_{i+1}..y_n}] * |..x_{i-1}, x_{i+1}.. ; ..|
        - [x_i == y_i] * |x_1^{x_i}..x_{i-1}^{x_i}, x_{i+1}.. ; ..|
 
-so it is the transpose of the partial coboundary at position i-1 (the same
-grouped summands, scattered back by an exact int64 ``np.add.at``), and the
-pairing <f | g> = tr(f g) = sum f[x, y] g[y, x] intertwines the two.
+so it is the transpose of the partial coboundary at position i-1: the same
+grouped summands, gathered from the output pairs of the coboundary and
+scattered back into its input pairs by an exact int64 ``np.add.at``, since
+there several pairs meet.  As for cochains, the input is reduced once over
+F_p and range-checked over Q before anything is summed.  The pairing
+<f | g> = tr(f g) = sum f[x, y] g[y, x] intertwines the two complexes.
 Degree-0 chains are scalars.
 """
 
@@ -24,7 +27,7 @@ import numpy as np
 from .indexing import position_data
 from .racks import RackTable
 from .rings import Ring
-from .cochains import Cochain, _modulus, _pair_codes, _reduce
+from .cochains import Cochain, _modulus, _pair_codes, _reduce, _summable
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,11 @@ def _signed_boundaries(f: Chain, signs: dict[int, int]) -> Chain:
     from f and one exact int64 ``np.add.at`` into the source pairs."""
     side = f.rack.size ** (f.degree - 1)
     out = np.zeros(side * side, dtype=np.int64)
+    # each summand gathers q entries into every source pair
+    flat = _summable(f.values, f.ring, 2 * f.rack.size * len(signs))
     for i, sign in signs.items():
         data = position_data(f.rack, f.degree, i - 1)
-        vals = f.values.reshape(-1)[_pair_codes(data.members, data.drop.size)]
+        vals = flat[_pair_codes(data.members, data.drop.size)]
         vals = vals * np.array([sign, -sign])[:, None, None, None]
         np.add.at(out, _pair_codes(data.sources, side), vals)
     return Chain(f.rack, f.degree - 1, f.ring, _reduce(out.reshape(side, side), f.ring))

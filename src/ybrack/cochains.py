@@ -10,8 +10,12 @@ coboundary with respect to position i of the output tuples is
 
 and the coboundary is the alternating sum over i = 0..n.  A summand only
 reaches pairs within one key class of :func:`ybrack.indexing.position_data`,
-each at most once, so it is an int64 gather plus an indexed add: exact, and
-1/q of the pairs.  The matrix of d^n is the same incidence as coordinates.
+each at most once, so it is an int64 gather into 1/q of the output pairs,
+walked in cache-sized chunks of key classes.  Over F_p the input is reduced
+first; d_i writes its first summand and subtracts the second, adding p back
+where that goes negative, and d reduces its accumulated grid once.  Over Q
+a sum that could leave int64 raises ``OverflowError``.  The matrix of d^n
+is the same incidence as coordinates.
 
 Coefficients: a prime field reduces entries mod p; rationals are handled
 with integer representatives (the complex maps are additive with unit
@@ -33,10 +37,11 @@ from .indexing import (decode_tuple, pair_mask, position_data,
                        tuple_coordinates)
 from .linalg import ExactMatrix
 from .racks import RackTable, is_rack_homomorphism
-from .rings import PrimeField, Rationals, Ring
+from .rings import INT64_MAX, PrimeField, Rationals, Ring
 
 DEGREE_CAP = 3          # cochain degrees supported as a target (d^2 needs one more)
 MATRIX_ENTRY_CAP = 10**8
+CHUNK_PAIRS = 1 << 16   # output pairs per chunk of a coboundary summand
 
 
 class SizeGuardError(ValueError):
@@ -59,8 +64,43 @@ def _modulus(ring: Ring) -> int | None:
 
 
 def _reduce(values: np.ndarray, ring: Ring) -> np.ndarray:
+    """Reduce an int64 array mod p in place and return it; over Q return it as is.
+
+    numpy's int64 ``%`` is several times slower per entry than floor division
+    by a scalar, so large arrays take x - p*floor(x/p), exact for
+    |x| < 2^63 - p, and small ones, where call overhead dominates, one ``%``.
+    """
     mod = _modulus(ring)
-    return values % mod if mod else values
+    if mod and values.size < 1024:
+        np.remainder(values, mod, out=values)
+    elif mod:
+        quotient = values // mod
+        quotient *= mod
+        values -= quotient
+    return values
+
+
+def _check_range(ring: Ring, terms: int, *grids: np.ndarray) -> None:
+    """Refuse sums of ``terms`` entries of ``grids`` that could leave int64.
+
+    Over F_p the entries are residues, so p - 1 bounds them and nothing is
+    read; over Q it costs one max and one min per grid.
+    """
+    mod = _modulus(ring)
+    big = mod - 1 if mod else max(max(int(g.max()), -int(g.min())) for g in grids)
+    if big * terms > INT64_MAX:
+        raise OverflowError(f"a sum of {terms} entries of size up to {big} can leave "
+                            f"int64: it needs {terms} * {big} <= {INT64_MAX}")
+
+
+def _summable(values: np.ndarray, ring: Ring, terms: int) -> np.ndarray:
+    """The entries, flat, ready to be summed ``terms`` at a time: a reduced
+    copy over F_p, the range-checked values themselves over Q."""
+    flat = values.reshape(-1)
+    if _modulus(ring):
+        flat = _reduce(flat.copy(), ring)
+    _check_range(ring, terms, flat)
+    return flat
 
 
 @dataclass(frozen=True)
@@ -153,14 +193,17 @@ def cochain_from_entries(rack: RackTable, degree: int, ring: Ring, entries) -> C
 
 
 def add(f: Cochain, g: Cochain) -> Cochain:
+    _check_range(f.ring, 2, f._grid(), g._grid())
     return Cochain(f.rack, f.degree, f.ring, _reduce(f._grid() + g._grid(), f.ring))
 
 
 def sub(f: Cochain, g: Cochain) -> Cochain:
+    _check_range(f.ring, 2, f._grid(), g._grid())
     return Cochain(f.rack, f.degree, f.ring, _reduce(f._grid() - g._grid(), f.ring))
 
 
 def scale(k: int, f: Cochain) -> Cochain:
+    _check_range(f.ring, abs(k), f._grid())
     return Cochain(f.rack, f.degree, f.ring, _reduce(k * f._grid(), f.ring))
 
 
@@ -176,30 +219,57 @@ def _pair_codes(codes: np.ndarray, side: int) -> np.ndarray:
     return codes[..., :, None] * side + codes[..., None, :]
 
 
-def _signed_partials(f: Cochain, signs: dict[int, int]) -> Cochain:
-    """The sum of sign * d_i f over {i: sign}, in pair codes: per summand one
-    gather from f and one indexed add into the output."""
-    side = f.rack.size ** (f.degree + 1)
-    out = np.zeros(side * side, dtype=np.int64)
-    flat = f._grid().reshape(-1)
-    for i, sign in signs.items():
-        data = position_data(f.rack, f.degree + 1, i)
-        rows = _pair_codes(data.members, side)
-        vals = flat[_pair_codes(data.sources, side // f.rack.size)]
-        plus, minus = (0, 1) if sign > 0 else (1, 0)
-        out[rows[plus]] += vals[plus]
-        out[rows[minus]] -= vals[minus]
-    return Cochain(f.rack, f.degree + 1, f.ring, _reduce(out.reshape(side, side), f.ring))
+def _summands(f: Cochain, flat: np.ndarray, i: int):
+    """Yield (sign, rows, vals) for the two summands of d_i f: rows are output
+    pair codes, distinct within a summand, and vals the entries of ``flat``
+    sent there.  The 2q key classes (the drop summand's, then the conj
+    summand's) go in chunks of about ``CHUNK_PAIRS`` pairs, so the whole drop
+    summand comes first, and small degrees take one chunk."""
+    q = f.rack.size
+    side_in = q**f.degree
+    data = position_data(f.rack, f.degree + 1, i)
+    members = data.members.reshape(2 * q, side_in)
+    sources = data.sources.reshape(2 * q, side_in)
+    per = max(CHUNK_PAIRS // side_in**2, 1)
+    for lo in range(0, 2 * q, per):
+        rows = _pair_codes(members[lo:lo + per], side_in * q)
+        vals = flat[_pair_codes(sources[lo:lo + per], side_in)]
+        cut = max(q - lo, 0)  # classes below q are the drop summand's
+        if cut:
+            yield 1, rows[:cut], vals[:cut]
+        if lo + per > q:
+            yield -1, rows[cut:], vals[cut:]
 
 
 def partial_coboundary(f: Cochain, i: int) -> Cochain:
     if not 0 <= i <= f.degree:
         raise IndexError(f"partial coboundary index {i} outside 0..{f.degree}")
-    return _signed_partials(f, {i: 1})
+    mod = _modulus(f.ring)
+    flat = _summable(f._grid(), f.ring, 2)
+    side = f.rack.size ** (f.degree + 1)
+    out = np.zeros(side * side, dtype=np.int64)
+    for sign, rows, vals in _summands(f, flat, i):
+        if sign > 0:
+            out[rows] = vals
+        else:
+            diff = out[rows] - vals
+            if mod:
+                diff += (diff >> 63) & mod  # adds p where diff < 0
+            out[rows] = diff
+    return Cochain(f.rack, f.degree + 1, f.ring, out.reshape(side, side))
 
 
 def coboundary(f: Cochain) -> Cochain:
-    return _signed_partials(f, {i: (-1) ** i for i in range(f.degree + 1)})
+    flat = _summable(f._grid(), f.ring, 2 * (f.degree + 1))
+    side = f.rack.size ** (f.degree + 1)
+    out = np.zeros(side * side, dtype=np.int64)
+    for i in range(f.degree + 1):
+        for sign, rows, vals in _summands(f, flat, i):
+            if sign * (-1) ** i > 0:
+                out[rows] += vals
+            else:
+                out[rows] -= vals
+    return Cochain(f.rack, f.degree + 1, f.ring, _reduce(out.reshape(side, side), f.ring))
 
 
 def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
@@ -238,7 +308,7 @@ def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
 
 def cochain_to_vector(f: Cochain) -> list:
     """Flatten into the pair-code basis used by coboundary_matrix."""
-    grid = _reduce(f._grid(), f.ring)
+    grid = _reduce(f._grid().copy(), f.ring)
     return [f.ring.from_int(int(v)) for v in grid.reshape(-1)]
 
 

@@ -31,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cochains import Cochain, coboundary, pair_mask, sub, zero_cochain, _reduce
+from .cochains import (Cochain, add, coboundary, pair_mask, scale, sub, zero_cochain,
+                       _reduce)
 from .indexing import class_coordinates, decode_tuple, insert_codes, tuple_coordinates
 from .racks import RackTable, behavior_partition, inverse_op
 
@@ -116,9 +117,10 @@ def filtration_level(f: Cochain) -> int:
 
 
 def _require_level(f: Cochain, m: int):
-    # the filtration stabilises at the degree: C_m = C_degree for m > degree
+    # the filtration stabilises at the degree: C_m = C_degree for m > degree;
+    # every cochain lies in C_0
     needed = min(m, f.degree)
-    if filtration_level(f) < needed:
+    if needed and filtration_level(f) < needed:
         raise FiltrationError(
             f"cochain has filtration level {filtration_level(f)}, needs >= {needed}")
 
@@ -157,10 +159,8 @@ def homotopy_defect(f: Cochain, m: int) -> Cochain:
 
 def level_projection(f: Cochain, m: int) -> Cochain:
     """p = id - (-1)^(degree - m) t; maps level m into level m+1."""
-    n = f.degree
     t = homotopy_defect(f, m)
-    sign = -1 if (n - m) % 2 else 1
-    return Cochain(f.rack, n, f.ring, _reduce(f._grid() - sign * t._grid(), f.ring))
+    return add(f, t) if (f.degree - m) % 2 else sub(f, t)
 
 
 def quasidiagonal_projection(f: Cochain) -> Cochain:
@@ -187,17 +187,14 @@ def quasidiagonal_representative(f: Cochain) -> tuple[Cochain, Cochain]:
     current = f
     g = zero_cochain(f.rack, n - 1, f.ring)
     for m in range(n):
-        step = insertion_homotopy(current, m)
-        sign = -1 if (n - m) % 2 else 1
-        step = Cochain(f.rack, n - 1, f.ring, _reduce(-sign * step._grid(), f.ring))
-        advanced = Cochain(f.rack, n, f.ring,
-                           _reduce(current._grid() + coboundary(step)._grid(), f.ring))
+        step = scale(1 if (n - m) % 2 else -1, insertion_homotopy(current, m))
+        advanced = add(current, coboundary(step))
         projected = level_projection(current, m)
         if not np.array_equal(advanced._grid(), projected._grid()):
             raise PostconditionError(f"level-{m} projection is not f + d(correction)",
                                      _first_entry(f, advanced._grid() != projected._grid()))
         current = advanced
-        g = Cochain(f.rack, n - 1, f.ring, _reduce(g._grid() + step._grid(), f.ring))
+        g = add(g, step)
     off = (current._grid() != 0) & ~pair_mask(f.rack, n, "quasidiagonal")
     if off.any():
         raise PostconditionError("representative is not quasi-diagonal", _first_entry(f, off))

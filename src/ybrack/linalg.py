@@ -37,14 +37,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rings import NotAFieldError, PrimeField, Rationals, Ring
+from .rings import INT64_MAX, NotAFieldError, PrimeField, Rationals, Ring
 
 # The largest prime p whose elimination stays inside int64: every value it
 # forms lies within (p - 1)^2 + (p - 1) < 2^63.
 MAX_PRIME = 3_037_000_493
 # Dense cells allowed in one block; a larger block is refused.
 BLOCK_CELL_LIMIT = 40_000_000
-_INT64_MAX = 2**63 - 1
 
 
 class BlockSizeError(ValueError):
@@ -309,7 +308,7 @@ def _prime_budget(grid: np.ndarray) -> int:
     gives the wrong pivots divides a nonzero minor, and once the good primes
     multiply past 2 H^2 reconstruction is exact; every prime exceeds 2^30.
     """
-    wide = grid.dtype == object or int(np.abs(grid).max()) ** 2 * grid.shape[1] > _INT64_MAX
+    wide = grid.dtype == object or int(np.abs(grid).max()) ** 2 * grid.shape[1] > INT64_MAX
     norms = ((grid.astype(object) if wide else grid) ** 2).sum(axis=1).tolist()
     largest = sorted(norms, reverse=True)[:min(grid.shape)]
     h = math.isqrt(math.prod(max(v, 1) for v in largest)) + 1
@@ -364,7 +363,7 @@ def _certify(grid: np.ndarray, pivots: list, num: np.ndarray, den: np.ndarray) -
     lcm = math.lcm(*set(den.reshape(-1).tolist()))
     amax = int(np.abs(grid).max())
     bound = lcm * amax * (1 + r * int(np.abs(num).max(initial=0)))
-    dtype = np.int64 if bound <= _INT64_MAX else object
+    dtype = np.int64 if bound <= INT64_MAX else object
     a = grid.astype(dtype)
     scaled = num.astype(dtype) * (lcm // den.astype(dtype))
     resid = a * lcm

@@ -12,6 +12,10 @@ a ring use a ring-specific ndarray layout so bulk operations stay vectorised:
                            coefficient matrix
 * ``PadicRing(p, N)``   -- the truncation Z/p^N; int64 array reduced mod p^N
 
+Moduli must fit in int64, and the int64 matrix kernels refuse (``ValueError``)
+any product whose sums of residue products could leave int64: ``mat_mul``
+needs inner * (m - 1)^2 < 2^63 for the modulus m, times N for F_p[h]/(h^N).
+
 The two truncated rings share a uniform local-ring contract (valuation,
 residue projection onto F_p, canonical digit lift) so that deformation code
 can be written once for both.  All values are immutable and all operations
@@ -39,6 +43,16 @@ class NotAUnitError(ArithmeticError):
 
 class NotAFieldError(TypeError):
     """Raised when a field-only operation is applied over a non-field ring."""
+
+
+INT64_MAX = 2**63 - 1
+
+
+def _check_products(modulus: int, terms: int) -> None:
+    """Refuse an int64 kernel that sums ``terms`` products of residues mod ``modulus``."""
+    if terms * (modulus - 1) ** 2 > INT64_MAX:
+        raise ValueError(f"{terms} products of residues mod {modulus} can leave int64: "
+                         f"needs {terms} * ({modulus} - 1)^2 < 2^63")
 
 
 def _as_int_grid(entries):
@@ -137,50 +151,32 @@ class Ring:
         return mat.copy()
 
 
-class PrimeField(Ring):
-    """F_p for a prime p; scalars are ints in [0, p)."""
+class _IntegersMod(Ring):
+    """Z/m for an int64 modulus m; scalars are ints in [0, m), matrices int64
+    arrays of residues."""
 
-    is_field = True
-
-    def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-
-    def __repr__(self):
-        return f"F{self.p}"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
+    modulus: int
 
     def from_int(self, k):
-        return k % self.p
+        return k % self.modulus
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return (a + b) % self.modulus
 
     def neg(self, a):
-        return (-a) % self.p
+        return (-a) % self.modulus
 
     def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return pow(a, -1, self.p)
+        return (a * b) % self.modulus
 
     def is_zero(self, a):
-        return a % self.p == 0
+        return a % self.modulus == 0
 
     def scalar_str(self, a):
-        return str(a % self.p)
+        return str(a % self.modulus)
 
     def scalar_parse(self, text):
-        return int(text) % self.p
+        return int(text) % self.modulus
 
     def zeros(self, rows, cols):
         return np.zeros((rows, cols), dtype=np.int64)
@@ -189,25 +185,27 @@ class PrimeField(Ring):
         return np.eye(n, dtype=np.int64)
 
     def from_int_matrix(self, entries):
-        return _as_int_grid(entries) % self.p
+        return _as_int_grid(entries) % self.modulus
 
     def shape(self, mat):
         return mat.shape
 
     def mat_add(self, a, b):
-        return (a + b) % self.p
+        return (a + b) % self.modulus
 
     def mat_sub(self, a, b):
-        return (a - b) % self.p
+        return (a - b) % self.modulus
 
     def mat_mul(self, a, b):
-        return (a @ b) % self.p
+        _check_products(self.modulus, a.shape[1])
+        return (a @ b) % self.modulus
 
     def mat_kron(self, a, b):
-        return np.kron(a, b) % self.p
+        _check_products(self.modulus, 1)
+        return np.kron(a, b) % self.modulus
 
     def first_difference(self, a, b):
-        diff = (a - b) % self.p
+        diff = (a - b) % self.modulus
         hits = np.argwhere(diff != 0)
         if hits.size == 0:
             return None
@@ -218,9 +216,40 @@ class PrimeField(Ring):
         return int(mat[i, j])
 
     def mat_set_entry(self, mat, i, j, value):
-        mat[i, j] = value % self.p
+        mat[i, j] = value % self.modulus
+
+    def mat_is_zero(self, mat):
+        return not np.any(mat % self.modulus)
+
+
+class PrimeField(_IntegersMod):
+    """F_p for a prime p; scalars are ints in [0, p)."""
+
+    is_field = True
+
+    def __init__(self, p: int):
+        if p > INT64_MAX:
+            raise ValueError(f"modulus {p} does not fit in int64 (at most {INT64_MAX})")
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"modulus {p} is not prime")
+        self.p = self.modulus = p
+
+    def __repr__(self):
+        return f"F{self.p}"
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("PrimeField", self.p))
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
+        return pow(a, -1, self.p)
 
     def mat_inv(self, mat):
+        _check_products(self.p, 1)
         n = mat.shape[0]
         aug = np.concatenate([mat % self.p, self.eye(n)], axis=1)
         for col in range(n):
@@ -235,9 +264,6 @@ class PrimeField(Ring):
             others[col] = 0
             aug = (aug - np.outer(others, aug[col])) % self.p
         return aug[:, n:]
-
-    def mat_is_zero(self, mat):
-        return not np.any(mat % self.p)
 
 
 class Rationals(Ring):
@@ -520,6 +546,7 @@ class SeriesRing(_TruncatedRing):
         return (a - b) % self.p
 
     def mat_mul(self, a, b):
+        _check_products(self.p, self.order * a.shape[2])
         out = self.zeros(a.shape[1], b.shape[2])
         for k in range(self.order):
             acc = out[k]
@@ -531,6 +558,7 @@ class SeriesRing(_TruncatedRing):
     def mat_kron(self, a, b):
         ra, ca = self.shape(a)
         rb, cb = self.shape(b)
+        _check_products(self.p, self.order)
         out = self.zeros(ra * rb, ca * cb)
         for k in range(self.order):
             acc = out[k]
@@ -574,7 +602,7 @@ class SeriesRing(_TruncatedRing):
         return self.order
 
 
-class PadicRing(_TruncatedRing):
+class PadicRing(_TruncatedRing, _IntegersMod):
     """Z/p^N viewed as a truncation of the p-adic integers; scalars are ints."""
 
     def __init__(self, p: int, order: int):
@@ -582,6 +610,8 @@ class PadicRing(_TruncatedRing):
             raise ValueError("truncation order must be at least 1")
         self.p = PrimeField(p).p
         self.order = order
+        if order >= 63 or p**order > INT64_MAX:  # p >= 2, so order >= 63 never fits
+            raise ValueError(f"modulus {p}^{order} does not fit in int64 (at most {INT64_MAX})")
         self.modulus = p**order
 
     def __repr__(self):
@@ -592,21 +622,6 @@ class PadicRing(_TruncatedRing):
 
     def __hash__(self):
         return hash(("PadicRing", self.p, self.order))
-
-    def from_int(self, k):
-        return k % self.modulus
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def is_zero(self, a):
-        return a % self.modulus == 0
 
     def valuation(self, a):
         a %= self.modulus
@@ -629,53 +644,6 @@ class PadicRing(_TruncatedRing):
 
     def lift_digit(self, r, k):
         return (r % self.p) * self.p**k % self.modulus
-
-    def scalar_str(self, a):
-        return str(a % self.modulus)
-
-    def scalar_parse(self, text):
-        return int(text) % self.modulus
-
-    def zeros(self, rows, cols):
-        return np.zeros((rows, cols), dtype=np.int64)
-
-    def eye(self, n):
-        return np.eye(n, dtype=np.int64)
-
-    def from_int_matrix(self, entries):
-        return _as_int_grid(entries) % self.modulus
-
-    def shape(self, mat):
-        return mat.shape
-
-    def mat_add(self, a, b):
-        return (a + b) % self.modulus
-
-    def mat_sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def mat_mul(self, a, b):
-        return (a @ b) % self.modulus
-
-    def mat_kron(self, a, b):
-        return np.kron(a, b) % self.modulus
-
-    def first_difference(self, a, b):
-        diff = (a - b) % self.modulus
-        hits = np.argwhere(diff != 0)
-        if hits.size == 0:
-            return None
-        i, j = map(int, hits[0])
-        return i, j
-
-    def mat_entry(self, mat, i, j):
-        return int(mat[i, j])
-
-    def mat_set_entry(self, mat, i, j, value):
-        mat[i, j] = value % self.modulus
-
-    def mat_is_zero(self, mat):
-        return not np.any(mat % self.modulus)
 
     def residue_matrix(self, mat):
         return mat % self.p

@@ -213,3 +213,45 @@ def test_reports_are_deterministic_given_seed(capsys, tmp_path):
     b = json.loads(second.read_text())
     a.pop("elapsed_seconds"); b.pop("elapsed_seconds")
     assert a == b
+
+
+def test_examples_computes_each_dimension_once(capsys, monkeypatch):
+    import ybrack.cli as cli
+    calls = []
+
+    def counting(rack, ring, degree, subcomplex="full"):
+        calls.append((rack, ring, degree, subcomplex))
+        return yb.cohomology_dim(rack, ring, degree, subcomplex=subcomplex)
+
+    monkeypatch.setattr(cli, "cohomology_dim", counting)
+    code, _, _ = run_cli(["examples", "--only", "dimensions"], capsys)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 25
+
+
+def test_quasidiagonalize_checks_the_braid_relation_once_per_operator(capsys, monkeypatch,
+                                                                     tmp_path):
+    from ybrack import deformations
+    calls = []
+
+    def counting(op):
+        calls.append(op)
+        return yb.check_ybe(op)
+
+    monkeypatch.setattr(deformations, "check_ybe", counting)
+    sidecar = tmp_path / "out.json"
+    code, out, _ = run_cli(
+        ["quasidiagonalize", str(DATA / "dihedral4.rack"), "--ring", "F3[h]/h^3",
+         "--perturb", "5", "--json-out", str(sidecar)], capsys)
+    factors = json.loads(sidecar.read_text())["results"]["gauge_factors"]
+    assert code == 0 and "ybe_preserved: True" in out
+    assert factors and len(calls) == 1 + len(factors)
+
+
+def test_rings_beyond_int64_exit_2(capsys):
+    code, _, err = run_cli(
+        ["quasidiagonalize", str(DATA / "quandle3.rack"), "--ring", "Z/3^50"], capsys)
+    assert code == 2 and "does not fit in int64" in err
+    code, _, err = run_cli(
+        ["cohomology", str(DATA / "quandle3.rack"), "--char", str(2**63 + 29)], capsys)
+    assert code == 2 and "does not fit in int64" in err

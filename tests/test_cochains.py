@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ybrack as yb
-from ybrack import linalg
+from ybrack import cochains, linalg
 from ybrack.cochains import sub as csub, cochain_to_vector
 from ybrack.indexing import decode_tuple
 
@@ -430,3 +436,124 @@ def test_cohomology_degree_bounds():
         yb.cohomology_dim(rack, F2, 4)  # above the default degree cap
     # degree 3 is inside the supported range
     assert yb.cohomology_dim(rack, F2, 3) >= 0
+
+
+# -- the chunked apply ---------------------------------------------------------------
+
+APPLY_RINGS = [F3, yb.PrimeField(linalg.MAX_PRIME), QQ]
+
+
+def _unreduced(rack, n, ring, rng):
+    """Entries far outside [0, p) on both sides, or signed integers over Q."""
+    side = rack.size**n
+    bound = 3 * getattr(ring, "p", 10**6)
+    return yb.Cochain(rack, n, ring, rng.integers(-bound, bound, size=(side, side)))
+
+
+def _applies(f):
+    return [yb.partial_coboundary(f, i).values for i in range(f.degree + 1)] + \
+        [yb.coboundary(f).values]
+
+
+@pytest.mark.parametrize("ring", APPLY_RINGS, ids=str)
+def test_chunked_apply_is_bit_for_bit_the_same(monkeypatch, ring):
+    rng = np.random.default_rng(66)
+    for rack in small_rack_sample():
+        for n in sample_degrees(rack):
+            f = _unreduced(rack, n, ring, rng)
+            before = f.values.copy()
+            runs = []
+            for pairs in (1, 2**40):  # one key class per chunk; one chunk for everything
+                monkeypatch.setattr(cochains, "CHUNK_PAIRS", pairs)
+                runs.append(_applies(f))
+            assert np.array_equal(f.values, before)
+            for one_class, one_chunk in zip(*runs):
+                assert one_class.dtype == one_chunk.dtype == np.int64
+                assert np.array_equal(one_class, one_chunk)
+            mod = getattr(ring, "p", None)
+            if mod:  # an unreduced input gives the apply of its residues, reduced
+                residues = yb.Cochain(rack, n, ring, f.values % mod)
+                for got, want in zip(runs[0], _applies(residues)):
+                    assert np.array_equal(got, want) and got.min() >= 0 and got.max() < mod
+
+
+@pytest.mark.parametrize("ring", APPLY_RINGS, ids=str)
+@pytest.mark.parametrize("rack", [yb.trivial_rack(4), yb.catalog.dihedral4()],
+                         ids=["trivial4", "dihedral4"])
+def test_degree_four_apply_matches_the_oracle(rack, ring):
+    # degree 4 -> 5 on four elements: 2^16 pairs per key class, so the
+    # default chunk holds one class and the apply walks it class by class
+    rng = np.random.default_rng(4)
+    f = _unreduced(rack, 4, ring, rng)
+    table = cochain_dict(f)
+    mod = getattr(ring, "p", None)
+    size = 4**5
+    for i in range(5):
+        got = yb.partial_coboundary(f, i).values
+        touched = np.flatnonzero(got)
+        codes = np.concatenate([rng.integers(size * size, size=100),
+                                rng.choice(touched, 100) if touched.size else []])
+        for code in codes.astype(np.int64):
+            xi, yi = divmod(int(code), size)
+            want = oracles.partial_coboundary_entry(rack, table, i, decode_tuple(4, xi, 5),
+                                                    decode_tuple(4, yi, 5))
+            assert int(got[xi, yi]) == (want % mod if mod else want)
+    got = yb.coboundary(f).values
+    for code in rng.choice(np.flatnonzero(got) if got.any() else [0], 200):
+        xi, yi = divmod(int(code), size)
+        want = oracles.coboundary_entry(rack, table, decode_tuple(4, xi, 5), decode_tuple(4, yi, 5))
+        assert int(got[xi, yi]) == (want % mod if mod else want)
+
+
+# -- int64 range over Q ------------------------------------------------------------------
+
+def test_rational_sums_that_could_overflow_are_refused():
+    rack = yb.catalog.dihedral3()
+    rng = np.random.default_rng(62)
+    f = yb.Cochain(rack, 2, QQ, rng.integers(2**62, 2**63 - 1, size=(9, 9)))
+    for apply in (yb.coboundary, lambda g: yb.partial_coboundary(g, 1),
+                  lambda g: yb.level_projection(g, 0), lambda g: cochains.add(g, g),
+                  lambda g: cochains.sub(g, g), lambda g: cochains.scale(2, g)):
+        with pytest.raises(OverflowError, match=str(2**63 - 1)):
+            apply(f)
+    chain = yb.Chain(rack, 2, QQ, f.values)
+    with pytest.raises(OverflowError):
+        yb.boundary(chain)
+
+
+def test_rational_sums_just_inside_int64_are_exact():
+    rack = yb.catalog.dihedral3()
+    rng = np.random.default_rng(63)
+    big = (2**63 - 1) // 6          # d on degree 2 sums 6 entries
+    values = rng.integers(-big, big + 1, size=(9, 9))
+    values[0, 0], values[4, 5] = big, -big
+    f = yb.Cochain(rack, 2, QQ, values)
+    table = cochain_dict(f)
+    got = yb.coboundary(f).values
+    for xi in range(27):
+        for yi in range(27):
+            xs, ys = decode_tuple(3, xi, 3), decode_tuple(3, yi, 3)
+            assert int(got[xi, yi]) == oracles.coboundary_entry(rack, table, xs, ys)
+    values[0, 0] = big + 1
+    with pytest.raises(OverflowError):
+        yb.coboundary(yb.Cochain(rack, 2, QQ, values))
+
+
+def test_rational_overflow_is_refused_under_python_O():
+    script = textwrap.dedent("""
+        import numpy as np
+        import ybrack as yb
+        f = yb.Cochain(yb.catalog.dihedral3(), 2, yb.Rationals(),
+                       np.full((9, 9), 2**62, dtype=np.int64))
+        try:
+            yb.coboundary(f)
+        except OverflowError:
+            print(__debug__, "refused")
+        else:
+            print(__debug__, "returned")
+    """)
+    src = Path(yb.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.split() == ["False", "refused"]

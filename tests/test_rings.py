@@ -127,3 +127,83 @@ def test_first_difference_reports_lowest_order():
     b = ring.mat_add(a, ring.lift_digit_matrix(np.array([[0, 1], [0, 0]]), 2))
     assert ring.first_difference(a, b) == (0, 1)
     assert ring.min_valuation(ring.mat_sub(a, b)) == 2
+
+
+def _products_oracle(a, b, modulus):
+    """Exact matrix product mod ``modulus`` in Python ints."""
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % modulus for col in zip(*b)]
+            for row in a]
+
+
+@pytest.mark.parametrize("inner,below,above", [
+    (1, 3037000493, 3037000507),   # the primes around the largest m with (m - 1)^2 < 2^63
+    (2, 2147483647, 2147483659),   # ... and with 2 (m - 1)^2 < 2^63
+])
+def test_prime_field_products_at_the_int64_bound(inner, below, above):
+    rng = np.random.default_rng(inner)
+    field = yb.PrimeField(below)
+    for _ in range(20):
+        a = rng.integers(below - 3, below, size=(3, inner))
+        b = rng.integers(below - 3, below, size=(inner, 2))
+        assert field.mat_mul(a, b).tolist() == _products_oracle(a, b, below)
+    worst = np.full((1, 1), below - 1)
+    assert field.mat_kron(worst, worst).tolist() == [[(below - 1) ** 2 % below]]
+    field = yb.PrimeField(above)
+    a = np.full((1, inner), above - 1)
+    with pytest.raises(ValueError, match=f"mod {above} can leave int64"):
+        field.mat_mul(a, a.T)
+    if inner == 1:
+        for call in (lambda: field.mat_kron(a, a), lambda: field.mat_inv(a)):
+            with pytest.raises(ValueError, match="can leave int64"):
+                call()
+
+
+def test_known_int64_overflows_are_refused():
+    p = 4294967311
+    with pytest.raises(ValueError, match="can leave int64"):
+        yb.PrimeField(p).mat_mul(np.array([[p - 1]]), np.array([[p - 1]]))
+    with pytest.raises(ValueError, match="can leave int64"):
+        yb.PadicRing(3, 21).mat_mul(np.eye(2, dtype=np.int64), np.eye(2, dtype=np.int64))
+
+
+def test_padic_products_at_the_int64_bound():
+    ring = yb.PadicRing(3, 19)      # 6 (3^19 - 1)^2 < 2^63 <= 7 (3^19 - 1)^2
+    rng = np.random.default_rng(19)
+    a = rng.integers(ring.modulus - 9, ring.modulus, size=(2, 6))
+    b = rng.integers(ring.modulus - 9, ring.modulus, size=(6, 3))
+    assert ring.mat_mul(a, b).tolist() == _products_oracle(a, b, ring.modulus)
+    with pytest.raises(ValueError, match="can leave int64"):
+        ring.mat_mul(np.ones((2, 7), dtype=np.int64), np.ones((7, 2), dtype=np.int64))
+    one = np.ones((1, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match="can leave int64"):
+        yb.PadicRing(3, 20).mat_mul(one, one)   # 3^20 - 1 > 3037000499
+
+
+def test_series_products_count_every_coefficient_term():
+    p = 2147483647                  # 2 (p - 1)^2 < 2^63 <= 4 (p - 1)^2
+    ring = yb.SeriesRing(p, 2)
+    rng = np.random.default_rng(2)
+    a, b = rng.integers(p - 3, p, size=(2, 2, 1, 1))
+    prod = ring.mat_mul(a, b)
+    assert int(prod[0, 0, 0]) == int(a[0, 0, 0]) * int(b[0, 0, 0]) % p
+    assert int(prod[1, 0, 0]) == (int(a[0, 0, 0]) * int(b[1, 0, 0])
+                                  + int(a[1, 0, 0]) * int(b[0, 0, 0])) % p
+    assert ring.mat_kron(a, b).tolist() == prod.tolist()
+    with pytest.raises(ValueError, match="can leave int64"):
+        ring.mat_mul(ring.zeros(1, 2), ring.zeros(2, 1))
+    longer = yb.SeriesRing(p, 4)
+    with pytest.raises(ValueError, match="can leave int64"):
+        longer.mat_kron(longer.zeros(1, 1), longer.zeros(1, 1))
+
+
+@pytest.mark.parametrize("spec,fits", [
+    ("Z/2^62", True), ("Z/2^63", False), ("Z/3^39", True), ("Z/3^40", False),
+    ("Z/3^50", False), ("Z/2^1000000", False), ("F9223372036854775837", False),
+    ("F9223372036854775837[h]/h^2", False),
+])
+def test_moduli_beyond_int64_are_refused(spec, fits):
+    if fits:
+        assert yb.parse_ring(spec).modulus < 2**63
+    else:
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            yb.parse_ring(spec)

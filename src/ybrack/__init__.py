@@ -25,7 +25,7 @@ from .racks import (BehaviorPartition, ClosureError, InnerGroup, RackAxiomError,
                     validate)
 from .operators import (GaugeTransform, InvalidOperatorError, YBEVerdict,
                         YBOperator, check_ybe, deform, deformation_term,
-                        dump_operator, gauge_conjugate, lift, load_operator,
+                        dump_operator, gauge_conjugate, load_operator,
                         operator_from_matrix, rack_operator)
 from .cochains import (Cochain, CoefficientError, RackCochain, SizeGuardError,
                        coboundary, coboundary_matrix, cochain_from_entries,

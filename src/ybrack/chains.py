@@ -26,7 +26,7 @@ import numpy as np
 
 from .indexing import position_data
 from .racks import RackTable
-from .rings import Ring
+from .rings import INT64_MAX, Ring
 from .cochains import Cochain, _modulus, _pair_codes, _reduce, _summable
 
 
@@ -104,7 +104,10 @@ def pairing(f: Chain, g: Cochain):
     """The duality pairing tr(f g), exact in the common coefficient ring."""
     if f.degree != g.degree or f.rack != g.rack:
         raise ValueError("pairing needs matching rack and degree")
-    total = int(np.sum(f.values * g._grid().T, dtype=object))
+    a, b = f.values, g._grid().T
+    if max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min())) > INT64_MAX:
+        a, b = a.astype(object), b.astype(object)  # products would leave int64
+    total = int(np.sum(a * b, dtype=object))
     mod = _modulus(f.ring)
     return total % mod if mod else total
 

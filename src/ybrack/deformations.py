@@ -28,7 +28,7 @@ from .cochains import (Cochain, cochain_to_vector, coboundary, coboundary_matrix
 from .homotopy import quasidiagonal_representative
 from .operators import (GaugeTransform, YBOperator, check_ybe, deform,
                         deformation_term, gauge_conjugate, rack_operator,
-                        _rack_grid)
+                        _conjugate, _rack_grid)
 from .racks import RackTable
 from .rings import Ring
 
@@ -93,9 +93,10 @@ class GaugeSequence:
         return acc
 
     def unconjugate(self, op: YBOperator) -> YBOperator:
-        """Inverse conjugation; applied to the engine output it returns the input."""
-        inverse = self.ring.mat_inv(self.composite(op.dim))
-        return gauge_conjugate(op, GaugeTransform(self.ring, inverse))
+        """Inverse conjugation, inverting the composite C once; applied to the
+        engine output it returns the input."""
+        composite = GaugeTransform(self.ring, self.composite(op.dim)).matrix
+        return _conjugate(op, self.ring.mat_inv(composite), composite)
 
 
 def split_non_quasidiagonal(defm: TruncatedDeformation, order: int) -> Cochain:

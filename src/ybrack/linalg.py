@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rings import INT64_MAX, NotAFieldError, PrimeField, Rationals, Ring
+from .rings import INT64_MAX, NotAFieldError, PrimeField, Rationals, Ring, _is_prime
 
 # The largest prime p whose elimination stays inside int64: every value it
 # forms lies within (p - 1)^2 + (p - 1) < 2^63.
@@ -257,13 +257,13 @@ def _blocks(mat: ExactMatrix):
 
 # -- elimination -----------------------------------------------------------------
 
-def _rref_mod_p(grid: np.ndarray, p: int):
-    """RREF of an integer grid mod p; returns (reduced grid, pivot columns).
+def _rref_mod_p(a: np.ndarray, p: int):
+    """RREF mod p of an int64 grid of residues, which it reduces in place
+    (the caller passes a grid it owns); returns (the grid, pivot columns).
 
     A pivot row only changes the other rows in the columns where it is
     nonzero, so each step updates just those cells.
     """
-    a = np.asarray(grid % p, dtype=np.int64)
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -295,7 +295,7 @@ def _prime(k: int) -> int:
     if k < 2:
         return (2**31 - 1, MAX_PRIME)[k]
     n = _prime(k - 1) - 2
-    while any(n % d == 0 for d in range(3, math.isqrt(n) + 1, 2)):
+    while not _is_prime(n):
         n -= 2
     return n
 
@@ -361,10 +361,10 @@ def _certify(grid: np.ndarray, pivots: list, num: np.ndarray, den: np.ndarray) -
     if np.any(num[np.arange(n)[None, :] < np.asarray(pivots, dtype=np.int64)[:, None]]):
         return False
     lcm = math.lcm(*set(den.reshape(-1).tolist()))
-    amax = int(np.abs(grid).max())
+    amax = max(int(grid.max()), -int(grid.min()))
     bound = lcm * amax * (1 + r * int(np.abs(num).max(initial=0)))
     dtype = np.int64 if bound <= INT64_MAX else object
-    a = grid.astype(dtype)
+    a = grid.astype(dtype, copy=False)
     scaled = num.astype(dtype) * (lcm // den.astype(dtype))
     resid = a * lcm
     for k, c in enumerate(pivots):
@@ -385,8 +385,8 @@ def _rational_rref(grid: np.ndarray):
             raise CertificationError(f"no certified RREF of a {grid.shape[0]}x"
                                      f"{grid.shape[1]} block after {k} primes")
         p = _prime(k)
-        reduced, pivots = _rref_mod_p(grid, p)
-        rows = reduced[:len(pivots)]
+        rows, pivots = _rref_mod_p(np.asarray(grid % p, dtype=np.int64), p)
+        rows = rows[:len(pivots)].copy()  # lets the full reduced grid go
         # more pivots, or as many but earlier ones: every earlier prime was bad
         if best is None or (len(pivots), best) > (len(best), pivots):
             best, residues, modulus = pivots, rows, p

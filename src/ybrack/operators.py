@@ -4,7 +4,8 @@ The matrix convention throughout: column index = input basis tuple, row
 index = output basis tuple, both ordered lexicographically over pairs.  For
 a rack Q the operator sends (x1, x2) to (x2, x1 * x2), so its matrix is the
 permutation matrix with a one in row code(x2, x1 * x2) of column
-code(x1, x2).  The braid relation is checked on the three-strand lifts.
+code(x1, x2).  Matrices act on tensor powers strand by strand, one ring
+product each, so the braid check and gauge conjugation build no Kronecker lift.
 """
 
 from __future__ import annotations
@@ -97,23 +98,26 @@ def operator_from_matrix(ring: Ring, dim: int, matrix, rack: RackTable | None = 
     return YBOperator(ring=ring, dim=dim, matrix=matrix, rack=rack)
 
 
-def lift(op: YBOperator, strands: int, position: int):
-    """Matrix of id^(i-1) tensor c tensor id^(n-i-1) on the n-strand space."""
-    if not 1 <= position <= strands - 1:
-        raise ValueError(f"position {position} outside 1..{strands - 1}")
-    ring = op.ring
-    left = ring.eye(op.dim ** (position - 1))
-    right = ring.eye(op.dim ** (strands - position - 1))
-    return ring.mat_kron(ring.mat_kron(left, op.matrix), right)
+def _act(ring: Ring, m, x, position: int, width: int):
+    """m . x for m acting on ``width`` strands of the rows of x, the first
+    being strand ``position`` (1-based); right factors act as transposes."""
+    *lead, rows, cols = x.shape
+    k = m.shape[-1]
+    before = round(k ** (1 / width)) ** (position - 1)
+    grouped = x.reshape(*lead, before, k, rows // before // k * cols).swapaxes(-2, -3)
+    out = ring.mat_mul(m, grouped.reshape(*lead, k, -1)).reshape(grouped.shape)
+    return out.swapaxes(-2, -3).reshape(x.shape)
 
 
 def check_ybe(op: YBOperator) -> YBEVerdict:
-    """Check the braid relation c1 c2 c1 = c2 c1 c2 on the tensor cube."""
-    ring = op.ring
-    c1 = lift(op, 3, 1)
-    c2 = lift(op, 3, 2)
-    lhs = ring.mat_mul(c1, ring.mat_mul(c2, c1))
-    rhs = ring.mat_mul(c2, ring.mat_mul(c1, c2))
+    """Check the braid relation c1 c2 c1 = c2 c1 c2 on the tensor cube by three
+    strand products: X = c2 c1, c1 X, and X c2 as (c^T on X^T)^T."""
+    ring, c, n = op.ring, op.matrix, op.dim
+    c1 = (c[..., :, None, :, None] * np.eye(n, dtype=c.dtype)[:, None, :]).reshape(
+        *c.shape[:-2], n ** 3, n ** 3)  # c tensor id, by broadcasting
+    x = _act(ring, c, c1, 2, 2)
+    lhs = _act(ring, c, x, 1, 2)
+    rhs = _act(ring, c.swapaxes(-1, -2), x.swapaxes(-1, -2), 2, 2).swapaxes(-1, -2)
     where = ring.first_difference(lhs, rhs)
     if where is None:
         return YBEVerdict(holds=True)
@@ -150,11 +154,17 @@ def gauge_conjugate(op: YBOperator, alpha: GaugeTransform) -> YBOperator:
 
     The inverse is taken as alpha^-1 tensor alpha^-1, a dim x dim inversion.
     """
+    return _conjugate(op, alpha.matrix, op.ring.mat_inv(alpha.matrix))
+
+
+def _conjugate(op: YBOperator, alpha, alpha_inv) -> YBOperator:
+    """(alpha_inv tensor alpha_inv) . c . (alpha tensor alpha) as four
+    single-strand products: alpha^T on each strand of c^T, then alpha_inv."""
     ring = op.ring
-    a_inv = ring.mat_inv(alpha.matrix)
-    a2 = ring.mat_kron(alpha.matrix, alpha.matrix)
-    conjugated = ring.mat_mul(ring.mat_kron(a_inv, a_inv), ring.mat_mul(op.matrix, a2))
-    return YBOperator(ring=ring, dim=op.dim, matrix=conjugated, rack=op.rack)
+    at = alpha.swapaxes(-1, -2)
+    right = _act(ring, at, _act(ring, at, op.matrix.swapaxes(-1, -2), 1, 1), 2, 1)
+    matrix = _act(ring, alpha_inv, _act(ring, alpha_inv, right.swapaxes(-1, -2), 1, 1), 2, 1)
+    return YBOperator(ring=ring, dim=op.dim, matrix=matrix, rack=op.rack)
 
 
 def deform(base: YBOperator, term) -> YBOperator:

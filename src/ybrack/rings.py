@@ -55,6 +55,16 @@ def _check_products(modulus: int, terms: int) -> None:
                          f"needs {terms} * ({modulus} - 1)^2 < 2^63")
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes as bases: exact for n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    return all(pow(a, (n - 1) >> s, n) == 1
+               or any(pow(a, (n - 1) >> r, n) == n - 1 for r in range(1, s + 1)) for a in bases)
+
+
 def _as_int_grid(entries):
     arr = np.asarray(entries, dtype=np.int64)
     if arr.ndim != 2:
@@ -230,7 +240,7 @@ class PrimeField(_IntegersMod):
     def __init__(self, p: int):
         if p > INT64_MAX:
             raise ValueError(f"modulus {p} does not fit in int64 (at most {INT64_MAX})")
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = self.modulus = p
 
@@ -344,7 +354,11 @@ class Rationals(Ring):
         return a - b
 
     def mat_mul(self, a, b):
-        return np.dot(a, b)
+        # each factor over one common denominator, so the sums run on Python ints
+        dens = [math.lcm(*(v.denominator for v in m.flat)) for m in (a, b)]
+        a, b = (np.array([v.numerator * (d // v.denominator) for v in m.flat],
+                         dtype=object).reshape(m.shape) for m, d in zip((a, b), dens))
+        return np.frompyfunc(lambda v: Fraction(v, dens[0] * dens[1]), 1, 1)(np.dot(a, b))
 
     def mat_kron(self, a, b):
         return np.kron(a, b)

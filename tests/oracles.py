@@ -3,6 +3,8 @@
 Everything here works on plain Python tuples and dicts, straight from the
 displayed formulas, sharing no code with the vectorised implementations it
 checks.  Signs and index conventions are written out longhand on purpose.
+The Kronecker lift is built with the rings' ``mat_kron``, which the
+strand-wise braid check and gauge conjugation never call.
 """
 
 from itertools import product
@@ -149,3 +151,65 @@ def solve_longhand(grid, rhs, ring):
     for c in pivots:
         x[c] = reduced[c].get(cols, ring.zero())
     return x
+
+
+def lift_longhand(ring, matrix, dim, strands, position):
+    """id^(position-1) tensor c tensor id^(strands-position-1) on the
+    strands-fold tensor power, as two Kronecker products with identities."""
+    if not 1 <= position <= strands - 1:
+        raise ValueError(f"position {position} outside 1..{strands - 1}")
+    left = ring.eye(dim ** (position - 1))
+    right = ring.eye(dim ** (strands - position - 1))
+    return ring.mat_kron(ring.mat_kron(left, matrix), right)
+
+
+def _row_dicts(ring, mat):
+    """A ring-layout matrix as {row: {col: nonzero scalar}}."""
+    rows, cols = ring.shape(mat)
+    out = {}
+    for i in range(rows):
+        for j in range(cols):
+            v = ring.mat_entry(mat, i, j)
+            if not ring.is_zero(v):
+                out.setdefault(i, {})[j] = v
+    return out
+
+
+def _row_dicts_product(ring, a, b):
+    out = {}
+    for i, row in a.items():
+        acc = {}
+        for k, v in row.items():
+            for j, w in b.get(k, {}).items():
+                acc[j] = ring.add(acc.get(j, ring.zero()), ring.mul(v, w))
+        out[i] = {j: v for j, v in acc.items() if not ring.is_zero(v)}
+    return out
+
+
+def braid_verdict_longhand(ring, matrix, dim):
+    """(holds, witness, failure order) of c1 c2 c1 = c2 c1 c2, from the
+    Kronecker lifts multiplied scalar by scalar as row dicts.
+
+    The witness is the first differing entry in row-major order with both
+    values; the failure order (truncated rings only) is the smallest
+    valuation of a difference.
+    """
+    c1 = _row_dicts(ring, lift_longhand(ring, matrix, dim, 3, 1))
+    c2 = _row_dicts(ring, lift_longhand(ring, matrix, dim, 3, 2))
+    lhs = _row_dicts_product(ring, c1, _row_dicts_product(ring, c2, c1))
+    rhs = _row_dicts_product(ring, c2, _row_dicts_product(ring, c1, c2))
+    zero = ring.zero()
+    diffs = {}
+    for i in set(lhs) | set(rhs):
+        left, right = lhs.get(i, {}), rhs.get(i, {})
+        for j in set(left) | set(right):
+            pair = (left.get(j, zero), right.get(j, zero))
+            if not ring.eq(*pair):
+                diffs[i, j] = pair
+    if not diffs:
+        return True, None, None
+    first = min(diffs)
+    order = None
+    if ring.is_truncated:
+        order = min(ring.valuation(ring.sub(*pair)) for pair in diffs.values())
+    return False, (*first, *diffs[first]), order

@@ -5,7 +5,8 @@ import ybrack as yb
 from ybrack.indexing import decode_tuple
 
 import oracles
-from conftest import random_chain, random_cochain, sample_degrees, small_rack_sample
+from conftest import (cochain_dict, random_chain, random_cochain, sample_degrees,
+                      small_rack_sample)
 
 F2 = yb.PrimeField(2)
 F3 = yb.PrimeField(3)
@@ -111,6 +112,19 @@ def test_pairing_of_elementary_tensors():
         cochain = yb.cochain_from_entries(rack, 1, QQ, {((u,), (v,)): 1})
         assert yb.pairing(chain, cochain) == (1 if (v == x and y == u) else 0)
 
+
+
+@pytest.mark.parametrize("spec,value", [("Q", 2**40), ("Q", -2**62),
+                                        ("F4294967311", 4294967310),
+                                        ("F9223372036854775783", 2**63 - 26)])
+def test_pairing_does_not_wrap_past_int64(spec, value):
+    # entries whose products leave int64: over Q, and over F_p for p > 2^31.5
+    ring = yb.parse_ring(spec)
+    rack = yb.catalog.dihedral3()
+    chain = yb.chain_from_entries(rack, 1, ring, {((1,), (2,)): value, ((0,), (0,)): 5})
+    cochain = yb.cochain_from_entries(rack, 1, ring, {((2,), (1,)): value, ((0,), (0,)): 7})
+    want = oracles.pairing_value(3, 1, chain_dict(chain), cochain_dict(cochain))
+    assert yb.pairing(chain, cochain) == (want if spec == "Q" else want % ring.p)
 
 def test_pairing_degree_mismatch():
     rack = yb.catalog.quandle3()

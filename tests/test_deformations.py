@@ -186,6 +186,25 @@ def test_unconjugate_undoes_each_factor_in_turn(spec, family):
         assert ring.mat_eq(back.matrix, clean.operator.matrix)
 
 
+
+@pytest.mark.parametrize("spec", ["F3[h]/h^3", "Z/2^3"])
+def test_unconjugate_inverts_the_composite_once(spec, monkeypatch):
+    ring = yb.parse_ring(spec)
+    rng = np.random.default_rng(90)
+    op = yb.rack_operator(yb.catalog.dihedral4(), ring)
+    gauges = yb.GaugeSequence(ring=ring)
+    conjugated = op
+    for order in range(1, ring.order):
+        alpha = random_gauge(ring, 4, rng)
+        conjugated = yb.gauge_conjugate(conjugated, alpha)
+        gauges.append(alpha.matrix, order)
+    inversions = []
+    real = ring.mat_inv
+    monkeypatch.setattr(ring, "mat_inv", lambda mat: inversions.append(mat) or real(mat))
+    back = gauges.unconjugate(conjugated)
+    assert len(inversions) == 1
+    assert ring.mat_eq(back.matrix, op.matrix)
+
 def test_family_claims_check_the_braid_relation_once(monkeypatch):
     calls = count_ybe_checks(monkeypatch)
     rng = np.random.default_rng(89)

@@ -3,6 +3,7 @@ import pytest
 
 import ybrack as yb
 from conftest import small_rack_sample
+from oracles import braid_verdict_longhand, lift_longhand
 
 F2 = yb.PrimeField(2)
 F3 = yb.PrimeField(3)
@@ -37,19 +38,19 @@ def test_trivial_rack_gives_the_transposition():
 
 def test_lift_two_strands_is_the_operator():
     op = yb.rack_operator(yb.catalog.quandle3(), F3)
-    assert np.array_equal(yb.lift(op, 2, 1), op.matrix)
+    assert np.array_equal(lift_longhand(F3, op.matrix, 3, 2, 1), op.matrix)
 
 
 def test_lift_position_out_of_range():
     op = yb.rack_operator(yb.catalog.quandle3(), F3)
     with pytest.raises(ValueError):
-        yb.lift(op, 3, 3)
+        lift_longhand(F3, op.matrix, 3, 3, 3)
 
 
 def test_transposition_lifts_satisfy_braid_relation():
     tau = yb.rack_operator(yb.trivial_rack(2), F3)
-    c1 = yb.lift(tau, 3, 1)
-    c2 = yb.lift(tau, 3, 2)
+    c1 = lift_longhand(F3, tau.matrix, 2, 3, 1)
+    c2 = lift_longhand(F3, tau.matrix, 2, 3, 2)
     assert np.array_equal(F3.mat_mul(c1, F3.mat_mul(c2, c1)),
                           F3.mat_mul(c2, F3.mat_mul(c1, c2)))
 
@@ -57,8 +58,8 @@ def test_transposition_lifts_satisfy_braid_relation():
 def test_far_commutation_on_four_strands():
     for rack in (yb.catalog.quandle3(), yb.dihedral_quandle(2)):
         op = yb.rack_operator(rack, F2)
-        c1 = yb.lift(op, 4, 1)
-        c3 = yb.lift(op, 4, 3)
+        c1 = lift_longhand(F2, op.matrix, rack.size, 4, 1)
+        c3 = lift_longhand(F2, op.matrix, rack.size, 4, 3)
         assert np.array_equal(F2.mat_mul(c1, c3), F2.mat_mul(c3, c1))
 
 
@@ -73,21 +74,25 @@ def test_check_ybe_holds_for_all_sample_racks():
     assert yb.check_ybe(yb.rack_operator(yb.catalog.quandle3(), yb.Rationals())).holds
 
 
-def test_check_ybe_fails_for_a_broken_magma():
-    # right translations are bijections, but self-distributivity fails
+def broken_magma_grid():
+    """Operator grid of a magma whose right translations are bijections but
+    which is not self-distributive."""
     table = [[1, 0, 0], [2, 1, 1], [0, 2, 2]]
-    n = 3
     grid = np.zeros((9, 9), dtype=np.int64)
     for x1 in range(3):
         for x2 in range(3):
             grid[x2 * 3 + table[x1][x2], x1 * 3 + x2] = 1
-    op = yb.operator_from_matrix(F2, 3, F2.from_int_matrix(grid))
+    return grid
+
+
+def test_check_ybe_fails_for_a_broken_magma():
+    op = yb.operator_from_matrix(F2, 3, F2.from_int_matrix(broken_magma_grid()))
     verdict = yb.check_ybe(op)
     assert not verdict.holds
     i, j, lhs, rhs = verdict.witness
     # the witness really is a differing entry of the two composites
-    c1 = yb.lift(op, 3, 1)
-    c2 = yb.lift(op, 3, 2)
+    c1 = lift_longhand(F2, op.matrix, 3, 3, 1)
+    c2 = lift_longhand(F2, op.matrix, 3, 3, 2)
     left = F2.mat_mul(c1, F2.mat_mul(c2, c1))
     right = F2.mat_mul(c2, F2.mat_mul(c1, c2))
     assert left[i, j] == lhs and right[i, j] == rhs and lhs != rhs
@@ -231,3 +236,34 @@ def test_deformation_term_inverts_deform(spec):
         term = random_ideal_matrix(ring, n2, n2, rng)
         op = yb.deform(yb.rack_operator(rack, ring), term)
         assert ring.mat_eq(yb.deformation_term(op), term)
+
+
+def verdict_matches_longhand(op):
+    """Assert check_ybe agrees with the Kronecker-lift longhand; its verdict."""
+    verdict = yb.check_ybe(op)
+    assert (verdict.holds, verdict.witness, verdict.failure_order) == \
+        braid_verdict_longhand(op.ring, op.matrix, op.dim)
+    return verdict.holds
+
+
+def test_check_ybe_matches_the_longhand_on_every_sample_rack():
+    for ring in (F2, F3, yb.Rationals()):
+        for rack in small_rack_sample():
+            assert verdict_matches_longhand(yb.rack_operator(rack, ring))
+
+
+@pytest.mark.parametrize("spec", INVERSE_RINGS)
+def test_check_ybe_matches_the_longhand_on_ideal_deformations(spec):
+    ring = yb.parse_ring(spec)
+    rng = np.random.default_rng(33)
+    ops = [yb.operator_from_matrix(ring, 3, ring.from_int_matrix(broken_magma_grid()))]
+    for rack in (yb.catalog.quandle3(), yb.catalog.dihedral4()):
+        n2 = rack.size ** 2
+        base = yb.rack_operator(rack, ring)
+        ops += [yb.deform(base, random_ideal_matrix(ring, n2, n2, rng)) for _ in range(2)]
+    for family, symmetric in (("quandle3-f", True), ("dihedral4-f", True),
+                              ("dihedral4-f", False), ("dihedral4-g", False)):
+        params = yb.random_family_parameters(family, ring, rng, symmetric=symmetric)
+        ops.append(yb.instantiate_family(family, ring, params).operator)
+    verdicts = [verdict_matches_longhand(op) for op in ops]
+    assert True in verdicts and False in verdicts

@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ybrack as yb
+from ybrack import rings
 from ybrack.rings import NotAUnitError
 
 
@@ -207,3 +209,36 @@ def test_moduli_beyond_int64_are_refused(spec, fits):
     else:
         with pytest.raises(ValueError, match="does not fit in int64"):
             yb.parse_ring(spec)
+
+
+def test_primality_agrees_with_trial_division_below_100000():
+    sieve = np.ones(10**5, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    assert [n for n in range(10**5) if rings._is_prime(n)] == np.flatnonzero(sieve).tolist()
+
+
+def test_a_prime_near_2_63_is_accepted_at_once():
+    start = time.perf_counter()
+    assert yb.PrimeField(2**63 - 25).p == 2**63 - 25
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [561, 3215031751])  # Carmichael; strong pseudoprime to 2, 3, 5, 7
+def test_pseudoprimes_are_refused(n):
+    with pytest.raises(ValueError, match="is not prime"):
+        yb.PrimeField(n)
+
+
+def test_rational_products_over_mixed_denominators():
+    Q = yb.Rationals()
+    rng = np.random.default_rng(7)
+    a, b = (np.array([Fraction(int(n), int(d)) for n, d in zip(
+        rng.integers(-9, 10, size=rows * cols), rng.integers(1, 7, size=rows * cols))],
+        dtype=object).reshape(rows, cols) for rows, cols in ((4, 5), (5, 3)))
+    want = [[sum(a[i, k] * b[k, j] for k in range(5)) for j in range(3)] for i in range(4)]
+    got = Q.mat_mul(a, b)
+    assert got.tolist() == want and all(type(v) is Fraction for v in got.flat)
+    assert Q.mat_mul(b.T, a.T).tolist() == [list(row) for row in zip(*want)]

@@ -35,7 +35,7 @@ from .cochains import (Cochain, CoefficientError, RackCochain, SizeGuardError,
                        partial_coboundary, project_diagonal,
                        project_quasidiagonal, pullback, rack_coboundary,
                        rack_coboundary_matrix, rack_cohomology_dim,
-                       vector_to_cochain, zero_cochain, zero_rack_cochain)
+                       vector_to_cochain, zero_cochain)
 from .chains import (Chain, boundary, chain_from_entries, dump_chain,
                      pairing, partial_boundary, zero_chain)
 from .homotopy import (FiltrationError, NotACocycleError, PostconditionError,
@@ -45,10 +45,9 @@ from .homotopy import (FiltrationError, NotACocycleError, PostconditionError,
 from .deformations import (DeformationError, FamilyReport, GaugeSequence,
                            RigidityReport, TruncatedDeformation, YBEFailure,
                            check_family_claims, dump_family_parameters,
-                           from_quasidiagonal_cochain, instantiate_family,
-                           load_family_parameters, quasidiagonalize,
-                           random_family_parameters, rigidity_check,
-                           split_non_quasidiagonal)
+                           instantiate_family, load_family_parameters,
+                           quasidiagonalize, random_family_parameters,
+                           rigidity_check, split_non_quasidiagonal)
 from . import catalog
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import position_data
+from .indexing import encode_tuple, position_data
 from .racks import RackTable
 from .rings import INT64_MAX, Ring
-from .cochains import Cochain, _modulus, _pair_codes, _reduce, _summable
+from .cochains import Cochain, _modulus, _pair_codes, _reduce, _summable, dump_cochain
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,7 @@ class Chain:
 
     def entry(self, xs, ys):
         q = self.rack.size
-        xi = yi = 0
-        for x, y in zip(xs, ys):
-            xi = xi * q + x
-            yi = yi * q + y
-        return self.values[xi, yi]
+        return self.values[encode_tuple(q, xs), encode_tuple(q, ys)]
 
     @property
     def scalar(self):
@@ -62,15 +58,11 @@ def zero_chain(rack: RackTable, degree: int, ring: Ring) -> Chain:
 
 
 def chain_from_entries(rack: RackTable, degree: int, ring: Ring, entries) -> Chain:
-    out = zero_chain(rack, degree, ring)
+    values = zero_chain(rack, degree, ring).values
     q = rack.size
     for (xs, ys), v in entries.items():
-        xi = yi = 0
-        for x, y in zip(xs, ys):
-            xi = xi * q + x
-            yi = yi * q + y
-        out.values[xi, yi] = v
-    return Chain(rack, degree, ring, _reduce(out.values, ring))
+        values[encode_tuple(q, xs), encode_tuple(q, ys)] = v
+    return Chain(rack, degree, ring, _reduce(values, ring))
 
 
 def _signed_boundaries(f: Chain, signs: dict[int, int]) -> Chain:
@@ -104,7 +96,7 @@ def pairing(f: Chain, g: Cochain):
     """The duality pairing tr(f g), exact in the common coefficient ring."""
     if f.degree != g.degree or f.rack != g.rack:
         raise ValueError("pairing needs matching rack and degree")
-    a, b = f.values, g._grid().T
+    a, b = f.values, g.values.T
     if max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min())) > INT64_MAX:
         a, b = a.astype(object), b.astype(object)  # products would leave int64
     total = int(np.sum(a * b, dtype=object))
@@ -114,12 +106,4 @@ def pairing(f: Chain, g: Cochain):
 
 def dump_chain(f: Chain) -> str:
     """Cochain dump format with a leading "chain" tag."""
-    from .indexing import decode_tuple
-    from .rings import ring_spec
-    lines = [f"chain degree {f.degree} ring {ring_spec(f.ring)}"]
-    q = f.rack.size
-    for xi, yi in zip(*np.nonzero(f.values)):
-        coords = decode_tuple(q, int(xi), f.degree) + decode_tuple(q, int(yi), f.degree)
-        value = f.ring.scalar_str(f.ring.from_int(int(f.values[xi, yi])))
-        lines.append(" ".join(map(str, coords)) + f" {value}")
-    return "\n".join(lines) + "\n"
+    return "chain " + dump_cochain(f)

@@ -354,7 +354,7 @@ def cmd_quasidiagonalize(args) -> int:
                    for k in range(ring.order))
     factors = []
     for order, factor in zip(gauges.orders, gauges.factors):
-        mat = linalg.ExactMatrix(ring, rack.size, rack.size, entries=ring.mat_copy(factor))
+        mat = linalg.ExactMatrix.from_grid(ring, factor)
         factors.append({"order": order, "matrix": linalg.dump_matrix(mat)})
     report.results = {
         "gauge_factors": factors,

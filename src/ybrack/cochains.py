@@ -22,8 +22,7 @@ with integer representatives (the complex maps are additive with unit
 coefficients, so integer cochains span the rational theory and no
 denominators ever arise outside of rank computations, whose RREF over Q
 :mod:`ybrack.linalg` reconstructs from residues and certifies exactly).
-Truncated-ring values are allowed for the degree-2 deformation terms but
-not under the coboundary.
+A cochain over any other ring is refused with :class:`CoefficientError`.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .indexing import (decode_tuple, pair_mask, position_data,
+from .indexing import (decode_tuple, encode_tuple, pair_mask, position_data,
                        tuple_coordinates)
 from .linalg import ExactMatrix
 from .racks import RackTable, is_rack_homomorphism
-from .rings import INT64_MAX, PrimeField, Rationals, Ring
+from .rings import INT64_MAX, PrimeField, Rationals, Ring, ring_spec
 
 DEGREE_CAP = 3          # cochain degrees supported as a target (d^2 needs one more)
 MATRIX_ENTRY_CAP = 10**8
@@ -113,10 +112,11 @@ class Cochain:
     values: np.ndarray
 
     def __post_init__(self):
+        _modulus(self.ring)  # refuses coefficient rings that are not fields
         expected = self.rack.size**self.degree
-        shape = self.ring.shape(self.values) if self.ring.is_truncated else self.values.shape
-        if shape != (expected, expected):
-            raise ValueError(f"values have shape {shape}, expected {(expected, expected)}")
+        if self.values.shape != (expected, expected):
+            raise ValueError(f"values have shape {self.values.shape}, "
+                             f"expected {(expected, expected)}")
 
     @property
     def side(self) -> int:
@@ -124,52 +124,27 @@ class Cochain:
 
     def entry(self, xs, ys):
         q = self.rack.size
-        xi = 0
-        yi = 0
-        for x, y in zip(xs, ys):
-            xi = xi * q + x
-            yi = yi * q + y
-        if self.ring.is_truncated:
-            return self.ring.mat_entry(self.values, xi, yi)
-        return self.values[xi, yi]
+        return self.values[encode_tuple(q, xs), encode_tuple(q, ys)]
 
     def is_zero(self) -> bool:
-        if self.ring.is_truncated:
-            return self.ring.mat_is_zero(self.values)
         return not np.any(self.values)
 
-    def _grid(self) -> np.ndarray:
-        if self.ring.is_truncated:
-            raise CoefficientError("operation needs field coefficients")
-        return self.values
-
     def is_diagonal(self) -> bool:
-        mask = pair_mask(self.rack, self.degree, "diagonal")
-        return self._masked_is_zero(~mask)
+        return self._zero_off("diagonal")
 
     def is_quasidiagonal(self) -> bool:
-        mask = pair_mask(self.rack, self.degree, "quasidiagonal")
-        return self._masked_is_zero(~mask)
+        return self._zero_off("quasidiagonal")
 
-    def _masked_is_zero(self, mask) -> bool:
-        masked = self.values * mask  # broadcasts over a leading layer axis
-        if self.ring.is_truncated:
-            return self.ring.mat_is_zero(masked)
-        return not np.any(masked)
+    def _zero_off(self, mode: str) -> bool:
+        return not np.any(self.values * ~pair_mask(self.rack, self.degree, mode))
 
     def as_operator_matrix(self):
-        """Ring-layout matrix with column = input tuple (transposed values)."""
-        if self.ring.is_truncated:
-            if self.values.ndim == 3:
-                return np.ascontiguousarray(self.values.transpose(0, 2, 1))
-            return np.ascontiguousarray(self.values.T)
+        """Matrix with column = input tuple (transposed values)."""
         return np.ascontiguousarray(self.values.T)
 
 
 def zero_cochain(rack: RackTable, degree: int, ring: Ring) -> Cochain:
     side = rack.size**degree
-    if ring.is_truncated:
-        return Cochain(rack, degree, ring, ring.zeros(side, side))
     return Cochain(rack, degree, ring, np.zeros((side, side), dtype=np.int64))
 
 
@@ -177,34 +152,26 @@ def cochain_from_entries(rack: RackTable, degree: int, ring: Ring, entries) -> C
     """Build from {(x-tuple, y-tuple): value} or a dense array."""
     if isinstance(entries, np.ndarray):
         return Cochain(rack, degree, ring, _reduce(entries.astype(np.int64), ring))
-    out = zero_cochain(rack, degree, ring)
+    values = zero_cochain(rack, degree, ring).values
     q = rack.size
     for (xs, ys), v in entries.items():
-        xi = 0
-        yi = 0
-        for x, y in zip(xs, ys):
-            xi = xi * q + x
-            yi = yi * q + y
-        if ring.is_truncated:
-            ring.mat_set_entry(out.values, xi, yi, v)
-        else:
-            out.values[xi, yi] = v
-    return Cochain(rack, degree, ring, _reduce(out.values, ring))
+        values[encode_tuple(q, xs), encode_tuple(q, ys)] = v
+    return Cochain(rack, degree, ring, _reduce(values, ring))
 
 
 def add(f: Cochain, g: Cochain) -> Cochain:
-    _check_range(f.ring, 2, f._grid(), g._grid())
-    return Cochain(f.rack, f.degree, f.ring, _reduce(f._grid() + g._grid(), f.ring))
+    _check_range(f.ring, 2, f.values, g.values)
+    return Cochain(f.rack, f.degree, f.ring, _reduce(f.values + g.values, f.ring))
 
 
 def sub(f: Cochain, g: Cochain) -> Cochain:
-    _check_range(f.ring, 2, f._grid(), g._grid())
-    return Cochain(f.rack, f.degree, f.ring, _reduce(f._grid() - g._grid(), f.ring))
+    _check_range(f.ring, 2, f.values, g.values)
+    return Cochain(f.rack, f.degree, f.ring, _reduce(f.values - g.values, f.ring))
 
 
 def scale(k: int, f: Cochain) -> Cochain:
-    _check_range(f.ring, abs(k), f._grid())
-    return Cochain(f.rack, f.degree, f.ring, _reduce(k * f._grid(), f.ring))
+    _check_range(f.ring, abs(k), f.values)
+    return Cochain(f.rack, f.degree, f.ring, _reduce(k * f.values, f.ring))
 
 
 def identity_cochain(rack: RackTable, degree: int, ring: Ring) -> Cochain:
@@ -245,7 +212,7 @@ def partial_coboundary(f: Cochain, i: int) -> Cochain:
     if not 0 <= i <= f.degree:
         raise IndexError(f"partial coboundary index {i} outside 0..{f.degree}")
     mod = _modulus(f.ring)
-    flat = _summable(f._grid(), f.ring, 2)
+    flat = _summable(f.values, f.ring, 2)
     side = f.rack.size ** (f.degree + 1)
     out = np.zeros(side * side, dtype=np.int64)
     for sign, rows, vals in _summands(f, flat, i):
@@ -260,7 +227,7 @@ def partial_coboundary(f: Cochain, i: int) -> Cochain:
 
 
 def coboundary(f: Cochain) -> Cochain:
-    flat = _summable(f._grid(), f.ring, 2 * (f.degree + 1))
+    flat = _summable(f.values, f.ring, 2 * (f.degree + 1))
     side = f.rack.size ** (f.degree + 1)
     out = np.zeros(side * side, dtype=np.int64)
     for i in range(f.degree + 1):
@@ -273,19 +240,20 @@ def coboundary(f: Cochain) -> Cochain:
 
 
 def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
-                      cap: int = MATRIX_ENTRY_CAP, subcomplex: str = "full") -> ExactMatrix:
+                      subcomplex: str = "full") -> ExactMatrix:
     """Sparse matrix of d^degree in the pair-code basis.
 
     Rows are indexed by q^(2(degree+1)) output pairs, columns by q^(2 degree)
     input pairs; each row has at most 2(degree+1) nonzero entries.  A
     ``subcomplex`` "diagonal" or "quasidiagonal" restricts rows and columns
-    to its :func:`pair_basis` before the matrix is built.
+    to its :func:`pair_basis` before the matrix is built.  More than
+    ``MATRIX_ENTRY_CAP`` output pairs are refused.
     """
     _modulus(ring)  # reject truncated coefficient rings early
     q = rack.size
     out_dim = q ** (2 * (degree + 1))
-    if out_dim > cap:
-        raise SizeGuardError(out_dim, cap)
+    if out_dim > MATRIX_ENTRY_CAP:
+        raise SizeGuardError(out_dim, MATRIX_ENTRY_CAP)
     in_dim = q ** (2 * degree)
     data = [position_data(rack, degree + 1, i) for i in range(degree + 1)]
     rows = _pair_codes(np.stack([d.members for d in data]), q ** (degree + 1))
@@ -308,7 +276,7 @@ def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
 
 def cochain_to_vector(f: Cochain) -> list:
     """Flatten into the pair-code basis used by coboundary_matrix."""
-    grid = _reduce(f._grid().copy(), f.ring)
+    grid = _reduce(f.values.copy(), f.ring)
     return [f.ring.from_int(int(v)) for v in grid.reshape(-1)]
 
 
@@ -329,31 +297,29 @@ def pair_basis(rack: RackTable, degree: int, mode: str) -> list[int]:
 
 def project_diagonal(f: Cochain) -> Cochain:
     mask = pair_mask(f.rack, f.degree, "diagonal")
-    return Cochain(f.rack, f.degree, f.ring, f._grid() * mask)
+    return Cochain(f.rack, f.degree, f.ring, f.values * mask)
 
 
 def project_quasidiagonal(f: Cochain) -> Cochain:
     mask = pair_mask(f.rack, f.degree, "quasidiagonal")
-    return Cochain(f.rack, f.degree, f.ring, f._grid() * mask)
+    return Cochain(f.rack, f.degree, f.ring, f.values * mask)
 
 
 def cohomology_dim(rack: RackTable, ring: Ring, degree: int,
-                   subcomplex: str = "full", cap: int = MATRIX_ENTRY_CAP,
-                   degree_cap: int = DEGREE_CAP) -> int:
+                   subcomplex: str = "full") -> int:
     """dim ker d^degree - rank d^(degree-1), all ranks exact.
 
     ``subcomplex`` is "full", "diagonal" or "quasidiagonal"; the latter two
     restrict both coboundary matrices to the corresponding pair basis (the
     subcomplexes are closed under d, so this is the subcomplex cohomology).
-    Degrees above ``degree_cap`` are refused; raise the cap explicitly for
-    larger computations (the entry-count guard still applies).
+    Degrees above ``DEGREE_CAP`` are refused.
     """
     if degree < 2:
         raise ValueError("cohomology needs degree >= 2 (uses d^(n-1) and d^n)")
-    if degree > degree_cap:
-        raise ValueError(f"degree {degree} above the supported cap {degree_cap}")
-    d_low = coboundary_matrix(rack, ring, degree - 1, cap=cap, subcomplex=subcomplex)
-    d_high = coboundary_matrix(rack, ring, degree, cap=cap, subcomplex=subcomplex)
+    if degree > DEGREE_CAP:
+        raise ValueError(f"degree {degree} above the supported cap {DEGREE_CAP}")
+    d_low = coboundary_matrix(rack, ring, degree - 1, subcomplex)
+    d_high = coboundary_matrix(rack, ring, degree, subcomplex)
     kernel_dim = d_high.cols - linalg.rank(d_high)
     return kernel_dim - linalg.rank(d_low)
 
@@ -370,19 +336,10 @@ class RackCochain:
     values: np.ndarray
 
     def entry(self, xs):
-        q = self.rack.size
-        code = 0
-        for x in xs:
-            code = code * q + x
-        return self.values[code]
+        return self.values[encode_tuple(self.rack.size, xs)]
 
     def is_zero(self) -> bool:
         return not np.any(self.values)
-
-
-def zero_rack_cochain(rack: RackTable, degree: int, ring: Ring) -> RackCochain:
-    return RackCochain(rack, degree, ring,
-                       np.zeros(rack.size**degree, dtype=np.int64))
 
 
 def rack_coboundary(lam: RackCochain) -> RackCochain:
@@ -419,7 +376,7 @@ def rack_cohomology_dim(rack: RackTable, ring: Ring, degree: int) -> int:
 def diagonal_part(f: Cochain) -> RackCochain:
     """The identification of a diagonal cochain with a rack cochain."""
     side = f.side
-    diag = f._grid()[np.arange(side), np.arange(side)]
+    diag = f.values[np.arange(side), np.arange(side)]
     return RackCochain(f.rack, f.degree, f.ring, diag.copy())
 
 
@@ -441,7 +398,7 @@ def is_fully_equivariant(f: Cochain) -> bool:
     """Invariance under the inner group acting coordinatewise and independently."""
     n = f.degree
     q = f.rack.size
-    grid = f._grid()
+    grid = f.values
     coords = tuple_coordinates(q, n)
     gens = {f.rack.column(a) for a in range(q)}
     for j in range(n):
@@ -474,28 +431,18 @@ def pullback(phi, f: Cochain, source: RackTable) -> Cochain:
     target_codes = np.zeros(q_src**n, dtype=np.int64)
     for j in range(n):
         target_codes = target_codes * q_dst + phi_arr[coords[j]]
-    grid = f._grid()[np.ix_(target_codes, target_codes)]
+    grid = f.values[np.ix_(target_codes, target_codes)]
     return Cochain(source, n, f.ring, grid.copy())
 
 
 # -- dump format ---------------------------------------------------------------------
 
 def dump_cochain(f: Cochain) -> str:
-    from .rings import ring_spec
+    """A header line, then one line per nonzero entry: its x-tuple, y-tuple
+    and value.  It reads only ``rack``, ``degree``, ``ring`` and ``values``,
+    so :func:`ybrack.chains.dump_chain` shares it."""
     lines = [f"degree {f.degree} ring {ring_spec(f.ring)}"]
     q = f.rack.size
-    if f.ring.is_truncated:
-        side = f.side
-        for xi in range(side):
-            for yi in range(side):
-                v = f.ring.mat_entry(f.values, xi, yi)
-                if f.ring.is_zero(v):
-                    continue
-                xs = decode_tuple(q, xi, f.degree)
-                ys = decode_tuple(q, yi, f.degree)
-                coords = " ".join(map(str, xs + ys))
-                lines.append(f"{coords} {f.ring.scalar_str(v)}")
-        return "\n".join(lines) + "\n"
     for xi, yi in zip(*np.nonzero(f.values)):
         xs = decode_tuple(q, int(xi), f.degree)
         ys = decode_tuple(q, int(yi), f.degree)

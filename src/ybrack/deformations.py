@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .catalog import FAMILIES, family_parameters
 from .cochains import (Cochain, cochain_to_vector, coboundary, coboundary_matrix,
-                       identity_cochain, pair_mask, zero_cochain)
+                       identity_cochain, pair_mask)
 from .homotopy import quasidiagonal_representative
 from .operators import (GaugeTransform, YBOperator, check_ybe, deform,
                         deformation_term, gauge_conjugate, rack_operator,
@@ -66,12 +66,6 @@ class TruncatedDeformation:
 
     def check(self):
         return check_ybe(self.operator)
-
-
-def from_quasidiagonal_cochain(rack: RackTable, ring: Ring, f: Cochain) -> TruncatedDeformation:
-    """Deform the rack operator by id + f for a positive-valuation cochain f."""
-    base = rack_operator(rack, ring)
-    return TruncatedDeformation(rack=rack, ring=ring, operator=deform(base, f))
 
 
 @dataclass

@@ -106,7 +106,7 @@ def build_witness_map(rack: RackTable) -> WitnessMap:
 def filtration_level(f: Cochain) -> int:
     """Largest m with f quasi-diagonal in the last m positions (n if all)."""
     n = f.degree
-    grid = f._grid()
+    grid = f.values
     sides = class_coordinates(f.rack, n)
     worst = 0
     for j in range(n):  # 0-based position j is 1-based coordinate j+1
@@ -145,7 +145,7 @@ def insertion_homotopy(f: Cochain, m: int) -> Cochain:
     # inserted codes; on equivalent pairs u2/v2 are -1, masked out below
     rows = insert_codes(q, n - 1, side_codes[:, None], pos, np.where(hit, u2, 0))
     cols = insert_codes(q, n - 1, side_codes[None, :], pos, np.where(hit, v2, 0))
-    gathered = f._grid()[rows, cols] * hit
+    gathered = f.values[rows, cols] * hit
     return Cochain(f.rack, n - 1, f.ring, _reduce(gathered, f.ring))
 
 
@@ -183,19 +183,19 @@ def quasidiagonal_representative(f: Cochain) -> tuple[Cochain, Cochain]:
     n = f.degree
     df = coboundary(f)
     if not df.is_zero():
-        raise NotACocycleError(_first_entry(df, df._grid() != 0))
+        raise NotACocycleError(_first_entry(df, df.values != 0))
     current = f
     g = zero_cochain(f.rack, n - 1, f.ring)
     for m in range(n):
         step = scale(1 if (n - m) % 2 else -1, insertion_homotopy(current, m))
         advanced = add(current, coboundary(step))
         projected = level_projection(current, m)
-        if not np.array_equal(advanced._grid(), projected._grid()):
+        if not np.array_equal(advanced.values, projected.values):
             raise PostconditionError(f"level-{m} projection is not f + d(correction)",
-                                     _first_entry(f, advanced._grid() != projected._grid()))
+                                     _first_entry(f, advanced.values != projected.values))
         current = advanced
         g = add(g, step)
-    off = (current._grid() != 0) & ~pair_mask(f.rack, n, "quasidiagonal")
+    off = (current.values != 0) & ~pair_mask(f.rack, n, "quasidiagonal")
     if off.any():
         raise PostconditionError("representative is not quasi-diagonal", _first_entry(f, off))
     return current, g

@@ -50,6 +50,14 @@ def decode_tuple(q: int, code: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def encode_tuple(q: int, tup) -> int:
+    """The code of a tuple; the inverse of :func:`decode_tuple`."""
+    code = 0
+    for x in tup:
+        code = code * q + x
+    return code
+
+
 @lru_cache(maxsize=None)
 def position_data(rack: RackTable, length: int, position: int) -> PositionData:
     q = rack.size

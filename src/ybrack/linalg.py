@@ -8,8 +8,7 @@ elimination path for every field:
 1. **Blocks.**  The nonzero entries are split into the connected components
    of the row/column incidence graph.  Distinct blocks share no row and no
    column, so the RREF of the matrix is the union of the blocks' RREFs and
-   each block is eliminated on its own as a dense grid.  A matrix stored as
-   a dense grid is taken as one block.
+   each block is eliminated on its own as a dense grid.
 2. **Over F_p** a block is reduced mod p with int64 arithmetic, which is
    exact for p up to :data:`MAX_PRIME`; larger primes are refused.
 3. **Over Q** every row is first scaled by the lcm of its denominators
@@ -22,9 +21,10 @@ elimination path for every field:
 Pivoting is deterministic (the first nonzero entry of a column, in row
 order).
 
-A matrix is a dense grid in its ring's layout, or coordinates: the sorted
-flat positions ``row * cols + col`` of its nonzero entries and their values
-(int64 residues over a prime field, ring scalars otherwise).
+A matrix is stored as coordinates: the sorted flat positions
+``row * cols + col`` of its nonzero entries and their reduced values (int64
+residues over a prime field, ring scalars otherwise).  A dense grid in its
+ring's layout enters through :meth:`ExactMatrix.from_grid`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rings import INT64_MAX, NotAFieldError, PrimeField, Rationals, Ring, _is_prime
+from .rings import (INT64_MAX, NotAFieldError, PrimeField, Rationals, Ring,
+                    SeriesRing, _is_prime)
 
 # The largest prime p whose elimination stays inside int64: every value it
 # forms lies within (p - 1)^2 + (p - 1) < 2^63.
@@ -64,43 +65,48 @@ def _values(ring: Ring, values) -> np.ndarray:
 
 
 class ExactMatrix:
-    """A rows x cols matrix over one scalar ring.
-
-    Storage is a dense grid or coordinates (see the module docstring); all
-    query operations are storage agnostic.  Instances are treated as
-    immutable once built.
+    """A rows x cols matrix over one scalar ring, stored as coordinates (see
+    the module docstring).  Instances are treated as immutable once built.
     """
 
-    def __init__(self, ring: Ring, rows: int, cols: int, entries=None, coords=None):
+    def __init__(self, ring: Ring, rows: int, cols: int, coords=None):
         if rows * cols >= 2**63:
             raise ValueError(f"{rows}x{cols} positions do not fit in int64")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self._dense = entries
         self._keys, self._vals = coords or (np.zeros(0, dtype=np.int64), _values(ring, []))
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def from_rows(cls, ring: Ring, grid) -> "ExactMatrix":
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
-        out = ring.zeros(rows, cols)
-        for i, row in enumerate(grid):
-            for j, v in enumerate(row):
-                ring.mat_set_entry(out, i, j, v)
-        return cls(ring, rows, cols, entries=out)
+    def from_grid(cls, ring: Ring, grid) -> "ExactMatrix":
+        """Build from a dense grid in ``ring``'s layout, keeping its nonzero
+        entries, reduced."""
+        rows, cols = ring.shape(grid)
+        if isinstance(ring, Rationals):
+            flat = grid.reshape(-1)
+            keys = np.flatnonzero(flat != 0)
+            vals = flat[keys]
+        elif isinstance(ring, SeriesRing):  # one coefficient layer per power of h
+            digits = grid.reshape(ring.order, -1) % ring.p
+            keys = np.flatnonzero(digits.any(axis=0))
+            vals = _values(ring, list(map(tuple, digits[:, keys].T.tolist())))
+        else:  # integers mod m: F_p and Z/p^N
+            flat = grid.reshape(-1) % ring.modulus
+            keys = np.flatnonzero(flat)
+            vals = _values(ring, flat[keys].tolist())
+        return cls(ring, rows, cols, coords=(keys, vals))
 
     @classmethod
     def from_coordinates(cls, ring: Ring, rows: int, cols: int, triples) -> "ExactMatrix":
         """Build from (row, col, value) triples, accumulating duplicates."""
         acc: dict[int, object] = {}
+        zero = ring.zero()
         for i, j, v in triples:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols}")
             key = i * cols + j
-            cur = acc.get(key)
-            acc[key] = v if cur is None else ring.add(cur, v)
+            acc[key] = ring.add(acc.get(key, zero), v)  # reduces v as well
         keys = sorted(k for k, v in acc.items() if not ring.is_zero(v))
         return cls(ring, rows, cols, coords=(np.asarray(keys, dtype=np.int64),
                                              _values(ring, [acc[k] for k in keys])))
@@ -125,41 +131,17 @@ class ExactMatrix:
 
     # -- queries -------------------------------------------------------------
     def entry(self, i: int, j: int):
-        if self._dense is not None:
-            return self.ring.mat_entry(self._dense, i, j)
         k = int(np.searchsorted(self._keys, i * self.cols + j))
         if k < self._keys.size and self._keys[k] == i * self.cols + j:
             return self._vals[k:k + 1].tolist()[0]
         return self.ring.zero()
 
     def nonzero_items(self):
-        if self._dense is None:
-            rows, cols = np.divmod(self._keys, max(self.cols, 1))
-            yield from zip(zip(rows.tolist(), cols.tolist()), self._vals.tolist())
-            return
-        for i in range(self.rows):
-            for j in range(self.cols):
-                v = self.ring.mat_entry(self._dense, i, j)
-                if not self.ring.is_zero(v):
-                    yield (i, j), v
+        rows, cols = np.divmod(self._keys, max(self.cols, 1))
+        return zip(zip(rows.tolist(), cols.tolist()), self._vals.tolist())
 
     def nnz(self) -> int:
-        if self._dense is None:
-            return self._keys.size
-        return sum(1 for _ in self.nonzero_items())
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_coordinates(
-            self.ring, self.cols, self.rows,
-            ((j, i, v) for (i, j), v in self.nonzero_items()))
-
-    def apply(self, vec):
-        """Matrix-vector product with a length-cols list of scalars."""
-        ring = self.ring
-        out = [ring.zero()] * self.rows
-        for (i, j), v in self.nonzero_items():
-            out[i] = ring.add(out[i], ring.mul(v, vec[j]))
-        return out
+        return self._keys.size
 
     def submatrix(self, row_index, col_index) -> "ExactMatrix":
         """Restriction to the given row/column subsets (reindexed)."""
@@ -225,16 +207,6 @@ def _blocks(mat: ExactMatrix):
     (ascending) and its dense integer grid (residues over F_p), whose rows
     are the block's rows in ascending order."""
     ring = mat.ring
-    if mat.rows * mat.cols == 0:
-        return
-    if mat._dense is not None:
-        rows, cols = np.arange(mat.rows), np.arange(mat.cols)
-        if isinstance(ring, PrimeField):
-            grid = mat._dense % ring.p
-        else:
-            grid = _scaled_rows(np.repeat(rows, mat.cols), mat._dense.reshape(-1).tolist())
-        yield cols, grid.reshape(mat.rows, mat.cols)
-        return
     if not mat._keys.size:
         return
     row, col = np.divmod(mat._keys, mat.cols)

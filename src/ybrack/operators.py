@@ -75,8 +75,8 @@ def rack_operator(rack: RackTable, ring: Ring) -> YBOperator:
     return YBOperator(ring=ring, dim=rack.size, matrix=matrix, rack=rack)
 
 
-def operator_from_matrix(ring: Ring, dim: int, matrix, rack: RackTable | None = None,
-                         check_invertible: bool = True) -> YBOperator:
+def operator_from_matrix(ring: Ring, dim: int, matrix,
+                         rack: RackTable | None = None) -> YBOperator:
     """Wrap a matrix as an operator, checking invertibility over the ring.
 
     Over a truncated ring invertibility is equivalent to invertibility of
@@ -85,16 +85,11 @@ def operator_from_matrix(ring: Ring, dim: int, matrix, rack: RackTable | None = 
     rows, cols = ring.shape(matrix)
     if rows != dim * dim or cols != dim * dim:
         raise InvalidOperatorError(f"matrix is {rows}x{cols}, expected {dim * dim} square")
-    if check_invertible:
-        if ring.is_truncated:
-            grid = ring.residue_matrix(matrix)
-            field = ring.residue_field()
-        else:
-            grid = matrix
-            field = ring
-        m = linalg.ExactMatrix(field, dim * dim, dim * dim, entries=field.mat_copy(grid))
-        if linalg.rank(m) != dim * dim:
-            raise InvalidOperatorError("matrix is not invertible over its ring")
+    field, grid = ring, matrix
+    if ring.is_truncated:
+        field, grid = ring.residue_field(), ring.residue_matrix(matrix)
+    if linalg.rank(linalg.ExactMatrix.from_grid(field, grid)) != dim * dim:
+        raise InvalidOperatorError("matrix is not invertible over its ring")
     return YBOperator(ring=ring, dim=dim, matrix=matrix, rack=rack)
 
 
@@ -168,19 +163,18 @@ def _conjugate(op: YBOperator, alpha, alpha_inv) -> YBOperator:
 
 
 def deform(base: YBOperator, term) -> YBOperator:
-    """Compose a rack operator with id + f for a degree-2 deformation term.
+    """Compose a rack operator with id + term for a degree-2 deformation term.
 
-    ``term`` is either a Cochain of degree 2 over the same truncated ring or
-    a ring-layout matrix; every entry must have positive valuation, so the
+    ``term`` is a matrix in the layout of the operator's truncated ring,
+    column = input pair; every entry must have positive valuation, so the
     residue of the result is the undeformed operator.
     """
     ring = base.ring
     if not ring.is_truncated:
         raise InvalidOperatorError("deformations live over a truncated ring")
-    matrix = term.as_operator_matrix() if hasattr(term, "as_operator_matrix") else term
-    if np.any(ring.residue_matrix(matrix)):
+    if np.any(ring.residue_matrix(term)):
         raise InvalidOperatorError("deformation term must take values in the maximal ideal")
-    deformed = ring.mat_mul(base.matrix, ring.mat_add(ring.eye(base.dim ** 2), matrix))
+    deformed = ring.mat_mul(base.matrix, ring.mat_add(ring.eye(base.dim ** 2), term))
     return YBOperator(ring=ring, dim=base.dim, matrix=deformed, rack=base.rack)
 
 
@@ -198,8 +192,7 @@ def deformation_term(op: YBOperator) -> object:
 # -- operator dump format -----------------------------------------------------
 
 def dump_operator(op: YBOperator) -> str:
-    mat = linalg.ExactMatrix(op.ring, op.dim ** 2, op.dim ** 2,
-                             entries=op.ring.mat_copy(op.matrix))
+    mat = linalg.ExactMatrix.from_grid(op.ring, op.matrix)
     return ring_spec(op.ring) + "\n" + linalg.dump_matrix(mat)
 
 

@@ -317,12 +317,12 @@ def dump_rack(rack: RackTable) -> str:
     return json.dumps(record) + "\n"
 
 
-def load_rack(text: str, require_quandle: bool = False) -> RackTable:
+def load_rack(text: str) -> RackTable:
     record = json.loads(text)
     table = record["table"]
     if len(table) != record["size"]:
         raise ValueError("size field does not match the table")
-    rack = validate(table, require_quandle=require_quandle)
+    rack = validate(table)
     if bool(record.get("quandle")) != rack.quandle:
         raise ValueError("quandle flag does not match the table")
     return rack

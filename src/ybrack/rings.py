@@ -157,9 +157,6 @@ class Ring:
     def mat_is_zero(self, mat) -> bool:
         raise NotImplementedError
 
-    def mat_copy(self, mat):
-        return mat.copy()
-
 
 class _IntegersMod(Ring):
     """Z/m for an int64 modulus m; scalars are ints in [0, m), matrices int64

@@ -91,6 +91,32 @@ def pairing_value(q, n, chain, cochain):
     return total
 
 
+def ring_grid(ring, rows):
+    """A list of rows of scalars as a dense grid in ``ring``'s layout, set
+    entry by entry."""
+    grid = ring.zeros(len(rows), len(rows[0]) if len(rows) else 0)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            ring.mat_set_entry(grid, i, j, v)
+    return grid
+
+
+def apply_longhand(mat, vec):
+    """The product of an ExactMatrix with a list of scalars, one stored
+    entry at a time."""
+    ring = mat.ring
+    out = [ring.zero()] * mat.rows
+    for (i, j), v in mat.nonzero_items():
+        out[i] = ring.add(out[i], ring.mul(v, vec[j]))
+    return out
+
+
+def transpose_longhand(mat):
+    """The transpose of an ExactMatrix, rebuilt from swapped triples."""
+    return type(mat).from_coordinates(mat.ring, mat.cols, mat.rows,
+                                      ((j, i, v) for (i, j), v in mat.nonzero_items()))
+
+
 def rref_longhand(grid, ring):
     """Gauss-Jordan on row dicts {col: value} with the ring's own scalars
     (``Fraction`` over Q, Python ints mod p over F_p).

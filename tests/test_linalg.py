@@ -17,7 +17,7 @@ import oracles
 
 
 def matrix(ring, grid):
-    return linalg.ExactMatrix.from_rows(ring, grid)
+    return linalg.ExactMatrix.from_grid(ring, oracles.ring_grid(ring, grid))
 
 
 def test_rank_identity_over_f2():
@@ -49,7 +49,7 @@ def test_kernel_sum_over_f2():
 
 def test_rank_rejects_truncated_rings():
     ring = yb.parse_ring("F3[h]/h^2")
-    mat = linalg.ExactMatrix(ring, 2, 2, entries=ring.eye(2))
+    mat = linalg.ExactMatrix.from_grid(ring, ring.eye(2))
     with pytest.raises(NotAFieldError):
         linalg.rank(mat)
 
@@ -73,7 +73,7 @@ def test_rank_nullity_and_kernel_exactness(spec):
         basis = linalg.kernel_basis(m)
         assert linalg.rank(m) + len(basis) == m.cols
         for vec in basis:
-            image = m.apply(vec)
+            image = oracles.apply_longhand(m, vec)
             assert all(ring.is_zero(v) for v in image)
 
 
@@ -83,7 +83,7 @@ def test_rank_equals_transpose_rank(spec):
     rng = np.random.default_rng(zlib.crc32((spec + "t").encode()))
     for _ in range(200):
         m = _random_matrix(ring, rng)
-        assert linalg.rank(m) == linalg.rank(m.transpose())
+        assert linalg.rank(m) == linalg.rank(oracles.transpose_longhand(m))
 
 
 def test_solve_finds_exact_solutions():
@@ -92,10 +92,11 @@ def test_solve_finds_exact_solutions():
     for _ in range(50):
         m = _random_matrix(ring, rng)
         x = [int(v) for v in rng.integers(0, 7, size=m.cols)]
-        rhs = m.apply(x)
+        rhs = oracles.apply_longhand(m, x)
         sol = linalg.solve(m, rhs)
         assert sol is not None
-        assert all(ring.is_zero(ring.sub(a, b)) for a, b in zip(m.apply(sol), rhs))
+        assert all(ring.is_zero(ring.sub(a, b))
+                   for a, b in zip(oracles.apply_longhand(m, sol), rhs))
 
 
 def test_solve_detects_inconsistency():
@@ -145,7 +146,8 @@ def _assert_matches_oracle(mat, grid, rng):
     assert kernel == want
     assert [[type(v) for v in vec] for vec in kernel] == [[type(v) for v in vec] for vec in want]
     x = [ring.from_int(int(v)) for v in rng.integers(-3, 4, size=mat.cols)]
-    for rhs in (mat.apply(x), [ring.from_int(int(v)) for v in rng.integers(-3, 4, size=mat.rows)]):
+    for rhs in (oracles.apply_longhand(mat, x),
+                [ring.from_int(int(v)) for v in rng.integers(-3, 4, size=mat.rows)]):
         got = linalg.solve(mat, rhs)
         assert got == oracles.solve_longhand(grid, rhs, ring)
         assert got is None or [type(v) for v in got] == [type(ring.zero())] * mat.cols
@@ -158,7 +160,7 @@ def test_elimination_matches_the_longhand_oracle(spec):
     for _ in range(60):
         mat, grid = _block_matrix(ring, rng)
         _assert_matches_oracle(mat, grid, rng)
-        _assert_matches_oracle(matrix(ring, grid), grid, rng)  # dense storage: one block
+        _assert_matches_oracle(matrix(ring, grid), grid, rng)  # through from_grid
 
 
 def _recording_primes(monkeypatch):
@@ -252,7 +254,8 @@ def test_the_certificate_holds_under_python_dash_o():
             return num, den
 
         linalg._reconstruct = wrong
-        m = linalg.ExactMatrix.from_rows(Rationals(), [[1, 2, 3], [4, 5, 6]])
+        m = linalg.ExactMatrix.from_grid(
+            Rationals(), Rationals().from_int_matrix([[1, 2, 3], [4, 5, 6]]))
         try:
             linalg.rank(m)
         except linalg.CertificationError:
@@ -298,6 +301,70 @@ def test_a_block_too_large_to_densify_is_refused(monkeypatch):
         linalg.rank(m)
     monkeypatch.setattr(linalg, "BLOCK_CELL_LIMIT", 4)
     assert linalg.rank(m) == 3
+
+
+def _layout_grid(ring):
+    """A grid in the ring's layout with unreduced and vanishing entries."""
+    if isinstance(ring, yb.Rationals):
+        grid = ring.zeros(2, 3)
+        grid[0, 0], grid[1, 1], grid[1, 2] = Fraction(1, 2), Fraction(-3), Fraction(4, 6)
+        return grid
+    if isinstance(ring, yb.SeriesRing):
+        grid = np.zeros((3, 2, 2), dtype=np.int64)
+        grid[:, 0, 0], grid[:, 0, 1], grid[:, 1, 1] = [4, -1, 3], [3, 6, -3], [0, 0, 5]
+        return grid
+    if isinstance(ring, yb.PadicRing):
+        return np.array([[10, 9], [-1, 0]], dtype=np.int64)
+    return np.array([[7, 0, -1], [0, 5, 12]], dtype=np.int64)
+
+
+# the text a dense grid printed while ExactMatrix still stored one
+PINNED_DUMPS = {
+    "F5": "2 3 5\n0 0 2\n0 2 4\n1 2 2\n",
+    "Q": "2 3 0\n0 0 1/2\n1 1 -3\n1 2 2/3\n",
+    "F3[h]/h^3": "2 2 3\n0 0 1,2,0\n1 1 0,0,2\n",
+    "Z/3^2": "2 2 3\n0 0 1\n1 0 8\n",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_DUMPS))
+def test_from_grid_dumps_the_pinned_text(spec):
+    ring = yb.parse_ring(spec)
+    mat = linalg.ExactMatrix.from_grid(ring, _layout_grid(ring))
+    assert linalg.dump_matrix(mat) == PINNED_DUMPS[spec]
+    for (i, j), v in mat.nonzero_items():
+        assert mat.entry(i, j) == v and not ring.is_zero(v)
+        assert ring.scalar_parse(ring.scalar_str(v)) == v  # stored reduced
+
+
+@pytest.mark.parametrize("spec, triples, want", [
+    ("F5", [(0, 0, 7), (0, 1, -1), (0, 2, 5)], [2, 4, 0]),
+    ("Z/3^2", [(0, 0, 10), (0, 1, -1), (0, 1, 1)], [1, 0, 0]),
+    ("F3[h]/h^2", [(0, 0, (4, -1)), (0, 2, (3, 6))], [(1, 2), (0, 0), (0, 0)]),
+])
+def test_from_coordinates_stores_residues(spec, triples, want):
+    ring = yb.parse_ring(spec)
+    mat = linalg.ExactMatrix.from_coordinates(ring, 1, 3, triples)
+    assert [mat.entry(0, j) for j in range(3)] == want
+    nonzero = [((0, j), v) for j, v in enumerate(want) if not ring.is_zero(v)]
+    assert list(mat.nonzero_items()) == nonzero
+    assert linalg.dump_matrix(mat).splitlines()[1:] == [
+        f"0 {j} {ring.scalar_str(v)}" for (_, j), v in nonzero]
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "F5", "Q"])
+def test_from_grid_agrees_with_from_coordinates(spec):
+    ring = yb.parse_ring(spec)
+    rng = np.random.default_rng(zlib.crc32((spec + "grid").encode()))
+    for _ in range(100):
+        rows, cols = (int(v) for v in rng.integers(1, 31, size=2))
+        grid = rng.integers(-9, 10, size=(rows, cols)) * (rng.random((rows, cols)) < 0.5)
+        layout = ring.from_int_matrix(grid) if isinstance(ring, yb.Rationals) else grid
+        dense = linalg.ExactMatrix.from_grid(ring, layout)
+        coords = linalg.ExactMatrix.from_coordinates(
+            ring, rows, cols, ((i, j, int(v)) for (i, j), v in np.ndenumerate(grid)))
+        assert list(dense.nonzero_items()) == list(coords.nonzero_items())
+        assert linalg.rank(dense) == linalg.rank(coords)
 
 
 def test_dump_and_load_round_trip():

@@ -194,6 +194,31 @@ def test_operator_dump_round_trip():
     assert ring.mat_eq(back.matrix, defm.operator.matrix)
 
 
+def _random_layout(ring, n, rng):
+    """A random n x n matrix in the ring's layout; fractions over Q."""
+    if ring.is_truncated:
+        grid = ring.zeros(n, n)
+        for k in range(ring.order):
+            grid = ring.mat_add(grid, ring.lift_digit_matrix(rng.integers(0, ring.p, (n, n)), k))
+        return grid
+    grid = ring.from_int_matrix(rng.integers(-4, 5, (n, n)))
+    return grid / 3 if isinstance(ring, yb.Rationals) else grid
+
+
+@pytest.mark.parametrize("spec", ["F5", "Q", "F3[h]/h^3", "Z/3^2"])
+def test_operator_dump_round_trips_over_every_layout(spec):
+    ring = yb.parse_ring(spec)
+    rack = yb.catalog.dihedral4()
+    n = rack.size ** 2
+    upper = _random_layout(ring, n, np.random.default_rng(11)) * np.triu(np.ones((n, n), int), 1)
+    matrix = ring.mat_mul(yb.rack_operator(rack, ring).matrix, ring.mat_add(ring.eye(n), upper))
+    op = yb.operator_from_matrix(ring, rack.size, matrix)
+    text = yb.dump_operator(op)
+    back = yb.load_operator(text)
+    assert back.ring == ring and ring.mat_eq(back.matrix, op.matrix)
+    assert yb.dump_operator(back) == text
+
+
 @pytest.mark.parametrize("rows", [8, 2**62 + 1])
 def test_load_operator_refuses_a_non_square_row_count(rows):
     with pytest.raises(ValueError, match=f"{rows} rows, which is not a perfect square"):

@@ -81,8 +81,8 @@ class GaugeSequence:
         self.orders.append(order)
 
     def composite(self, dim: int):
-        acc = self.ring.eye(dim)
-        for factor in self.factors:
+        acc = self.factors[0].copy() if self.factors else self.ring.eye(dim)
+        for factor in self.factors[1:]:
             acc = self.ring.mat_mul(acc, factor)
         return acc
 

@@ -151,7 +151,6 @@ def insertion_homotopy(f: Cochain, m: int) -> Cochain:
 
 def homotopy_defect(f: Cochain, m: int) -> Cochain:
     """t = d(s f) - s(d f) at level m; scales entries on the tested stripe."""
-    _require_level(f, m)
     left = coboundary(insertion_homotopy(f, m))
     right = insertion_homotopy(coboundary(f), m)
     return sub(left, right)

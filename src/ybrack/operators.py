@@ -93,12 +93,12 @@ def operator_from_matrix(ring: Ring, dim: int, matrix,
     return YBOperator(ring=ring, dim=dim, matrix=matrix, rack=rack)
 
 
-def _act(ring: Ring, m, x, position: int, width: int):
-    """m . x for m acting on ``width`` strands of the rows of x, the first
-    being strand ``position`` (1-based); right factors act as transposes."""
+def _act(ring: Ring, m, x, dim: int, position: int):
+    """m . x for m acting on strands of dimension ``dim`` of the rows of x, the
+    first being strand ``position`` (1-based); right factors act as transposes."""
     *lead, rows, cols = x.shape
     k = m.shape[-1]
-    before = round(k ** (1 / width)) ** (position - 1)
+    before = dim ** (position - 1)
     grouped = x.reshape(*lead, before, k, rows // before // k * cols).swapaxes(-2, -3)
     out = ring.mat_mul(m, grouped.reshape(*lead, k, -1)).reshape(grouped.shape)
     return out.swapaxes(-2, -3).reshape(x.shape)
@@ -110,9 +110,9 @@ def check_ybe(op: YBOperator) -> YBEVerdict:
     ring, c, n = op.ring, op.matrix, op.dim
     c1 = (c[..., :, None, :, None] * np.eye(n, dtype=c.dtype)[:, None, :]).reshape(
         *c.shape[:-2], n ** 3, n ** 3)  # c tensor id, by broadcasting
-    x = _act(ring, c, c1, 2, 2)
-    lhs = _act(ring, c, x, 1, 2)
-    rhs = _act(ring, c.swapaxes(-1, -2), x.swapaxes(-1, -2), 2, 2).swapaxes(-1, -2)
+    x = _act(ring, c, c1, n, 2)
+    lhs = _act(ring, c, x, n, 1)
+    rhs = _act(ring, c.swapaxes(-1, -2), x.swapaxes(-1, -2), n, 2).swapaxes(-1, -2)
     where = ring.first_difference(lhs, rhs)
     if where is None:
         return YBEVerdict(holds=True)
@@ -155,10 +155,10 @@ def gauge_conjugate(op: YBOperator, alpha: GaugeTransform) -> YBOperator:
 def _conjugate(op: YBOperator, alpha, alpha_inv) -> YBOperator:
     """(alpha_inv tensor alpha_inv) . c . (alpha tensor alpha) as four
     single-strand products: alpha^T on each strand of c^T, then alpha_inv."""
-    ring = op.ring
+    ring, n = op.ring, op.dim
     at = alpha.swapaxes(-1, -2)
-    right = _act(ring, at, _act(ring, at, op.matrix.swapaxes(-1, -2), 1, 1), 2, 1)
-    matrix = _act(ring, alpha_inv, _act(ring, alpha_inv, right.swapaxes(-1, -2), 1, 1), 2, 1)
+    right = _act(ring, at, _act(ring, at, op.matrix.swapaxes(-1, -2), n, 1), n, 2)
+    matrix = _act(ring, alpha_inv, _act(ring, alpha_inv, right.swapaxes(-1, -2), n, 1), n, 2)
     return YBOperator(ring=ring, dim=op.dim, matrix=matrix, rack=op.rack)
 
 

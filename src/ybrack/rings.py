@@ -1,6 +1,8 @@
 """Exact coefficient rings: prime fields, rationals, and truncated local rings.
 
-Every ring in this module is exact; there is no floating point anywhere.
+Every ring in this module is exact.  The one floating-point step is the
+residue product ``_convolve``, which multiplies in float64 only while every
+partial sum is an integer below 2^53 (its docstring has the argument).
 Scalars are plain Python values (``int``, ``fractions.Fraction``, or a tuple
 of coefficients), and the ring object carries the arithmetic.  Matrices over
 a ring use a ring-specific ndarray layout so bulk operations stay vectorised:
@@ -53,6 +55,36 @@ def _check_products(modulus: int, terms: int) -> None:
     if terms * (modulus - 1) ** 2 > INT64_MAX:
         raise ValueError(f"{terms} products of residues mod {modulus} can leave int64: "
                          f"needs {terms} * ({modulus} - 1)^2 < 2^63")
+
+
+def _convolve(a, b, modulus: int):
+    """Exact product of two coefficient stacks mod ``modulus`` = m: for operands
+    of shape (N, rows, inner) and (N, inner, cols) holding residues in [0, m),
+    coefficient j of the result is sum_{i<=j} a_i b_(j-i), reduced.
+
+    Coefficient j is one matmul: [a_j | ... | a_0] times [b_0; ...; b_j], the
+    last (j+1) inner columns of the reversed wide stack and the first (j+1)
+    inner rows of the tall one.  Each term is a product of residues, in
+    [0, (m - 1)^2], so every partial sum in any summation order is an integer
+    in [0, N inner (m - 1)^2].  Below 2^53 all of these are float64 values, so
+    every multiply, add or fused multiply-add BLAS performs is exact and the
+    product runs in float64; above, it runs in int64 under ``_check_products``.
+    """
+    n, rows, inner = a.shape
+    cols, terms = b.shape[2], n * inner
+    if terms * (modulus - 1) ** 2 < 2**53:
+        dtype = np.float64
+    else:
+        _check_products(modulus, terms)
+        dtype = np.int64
+    wide = a[::-1].swapaxes(0, 1).reshape(rows, terms).astype(dtype, copy=False)
+    tall = b.reshape(terms, cols).astype(dtype, copy=False)
+    out = np.empty((n, rows, cols), dtype)
+    for j in range(n):
+        np.matmul(wide[:, (n - 1 - j) * inner:], tall[:(j + 1) * inner], out=out[j])
+    out = out.astype(np.int64, copy=False)
+    out %= modulus
+    return out
 
 
 def _is_prime(n: int) -> bool:
@@ -204,8 +236,7 @@ class _IntegersMod(Ring):
         return (a - b) % self.modulus
 
     def mat_mul(self, a, b):
-        _check_products(self.modulus, a.shape[1])
-        return (a @ b) % self.modulus
+        return _convolve(a[None], b[None], self.modulus)[0]
 
     def mat_kron(self, a, b):
         _check_products(self.modulus, 1)
@@ -557,26 +588,13 @@ class SeriesRing(_TruncatedRing):
         return (a - b) % self.p
 
     def mat_mul(self, a, b):
-        _check_products(self.p, self.order * a.shape[2])
-        out = self.zeros(a.shape[1], b.shape[2])
-        for k in range(self.order):
-            acc = out[k]
-            for i in range(k + 1):
-                acc += a[i] @ b[k - i]
-            out[k] = acc % self.p
-        return out
+        return _convolve(a, b, self.p)
 
     def mat_kron(self, a, b):
-        ra, ca = self.shape(a)
-        rb, cb = self.shape(b)
-        _check_products(self.p, self.order)
-        out = self.zeros(ra * rb, ca * cb)
-        for k in range(self.order):
-            acc = out[k]
-            for i in range(k + 1):
-                acc += np.kron(a[i], b[k - i])
-            out[k] = acc % self.p
-        return out
+        # the coefficient products of every entry pair: an inner-1 product
+        (n, ra, ca), (_, rb, cb) = a.shape, b.shape
+        outer = _convolve(a.reshape(n, ra * ca, 1), b.reshape(n, 1, rb * cb), self.p)
+        return outer.reshape(n, ra, ca, rb, cb).swapaxes(2, 3).reshape(n, ra * rb, ca * cb)
 
     def first_difference(self, a, b):
         diff = (a - b) % self.p

@@ -8,6 +8,7 @@ strand-wise braid check and gauge conjugation never call.
 """
 
 from itertools import product
+from operator import mul
 
 
 def all_tuples(q, n):
@@ -89,6 +90,18 @@ def pairing_value(q, n, chain, cochain):
     for (xs, ys), coeff in chain.items():
         total += coeff * cochain.get((ys, xs), 0)
     return total
+
+
+def series_product_longhand(p, a, b):
+    """The product of (N, rows, inner) and (N, inner, cols) coefficient stacks
+    over F_p[h]/(h^N) by the schoolbook rule c_k = sum_{i<=k} a_i b_(k-i),
+    each entry a sum of Python-int products; nested lists [k][row][col]."""
+    order, rows, _ = a.shape
+    cols = b.shape[2]
+    a_rows = [[list(map(int, row)) for row in coeff] for coeff in a]
+    b_cols = [[list(map(int, col)) for col in coeff.T] for coeff in b]
+    return [[[sum(sum(map(mul, a_rows[i][r], b_cols[k - i][c])) for i in range(k + 1)) % p
+              for c in range(cols)] for r in range(rows)] for k in range(order)]
 
 
 def ring_grid(ring, rows):

@@ -2,16 +2,22 @@
 
 ``perfbench/spans.py`` wraps each method in its ``METHODS`` table for the
 traced run and counts stored nonzeros through ``ExactMatrix.nnz``; a library
-change that removes one of them breaks ``perfbench/run.py --trace 1``.
+change that removes one of them breaks ``perfbench/run.py --trace 1``.  Every
+set-up probe of the benchmark imports the library afresh, so a new
+third-party import shows up in its ``setup_s``.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ybrack as yb
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans():
@@ -31,3 +37,15 @@ def test_exact_matrix_counts_its_nonzeros():
     mat = yb.ExactMatrix.from_coordinates(yb.PrimeField(3), 2, 3, [(0, 1, 1), (1, 0, 3),
                                                                     (1, 2, 2)])
     assert mat.nnz() == 2
+
+
+def test_importing_the_library_loads_only_numpy_beyond_the_standard_library():
+    code = ("import sys; before = set(sys.modules); import ybrack; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "ybrack" in loaded
+    extra = loaded - sys.stdlib_module_names - {"numpy", "ybrack"}
+    assert not extra, sorted(extra)

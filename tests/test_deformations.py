@@ -205,6 +205,22 @@ def test_unconjugate_inverts_the_composite_once(spec, monkeypatch):
     assert len(inversions) == 1
     assert ring.mat_eq(back.matrix, op.matrix)
 
+
+def test_composite_starts_from_a_copy_of_the_first_factor():
+    ring = yb.parse_ring("F3[h]/h^3")
+    rng = np.random.default_rng(91)
+    gauges = yb.GaugeSequence(ring=ring)
+    assert ring.mat_eq(gauges.composite(4), ring.eye(4))
+    first, second = (random_gauge(ring, 4, rng).matrix for _ in range(2))
+    gauges.append(first, 1)
+    alone = gauges.composite(4)
+    assert ring.mat_eq(alone, first)
+    alone[...] = 0
+    assert not ring.mat_is_zero(gauges.factors[0])
+    gauges.append(second, 2)
+    assert ring.mat_eq(gauges.composite(4), ring.mat_mul(first, second))
+
+
 def test_family_claims_check_the_braid_relation_once(monkeypatch):
     calls = count_ybe_checks(monkeypatch)
     rng = np.random.default_rng(89)

@@ -61,8 +61,9 @@ def test_filtration_level_cases():
 def test_insertion_homotopy_requires_the_level():
     rack = yb.catalog.quandle3()
     f = yb.cochain_from_entries(rack, 2, F3, {((0, 0), (0, 2)): 1})  # level 0
-    with pytest.raises(yb.FiltrationError):
-        yb.insertion_homotopy(f, 1)
+    for level_map in (yb.insertion_homotopy, yb.homotopy_defect, yb.level_projection):
+        with pytest.raises(yb.FiltrationError):
+            level_map(f, 1)
 
 
 def test_insertion_homotopy_zero_cases():

@@ -8,6 +8,8 @@ import ybrack as yb
 from ybrack import rings
 from ybrack.rings import NotAUnitError
 
+from oracles import series_product_longhand
+
 
 RINGS = [yb.parse_ring(s) for s in
          ("F2", "F3", "F5", "Q", "F3[h]/h^3", "F2[h]/h^4", "Z/2^4", "Z/3^2")]
@@ -196,6 +198,57 @@ def test_series_products_count_every_coefficient_term():
     longer = yb.SeriesRing(p, 4)
     with pytest.raises(ValueError, match="can leave int64"):
         longer.mat_kron(longer.zeros(1, 1), longer.zeros(1, 1))
+
+
+# The float64 product is exact while N * inner * (m - 1)^2 < 2^53.  Each ring
+# multiplies all-(m - 1) stacks just below that bound, and all-(m - 2) stacks
+# just above it, where the top coefficient's sums N * inner * (m - 2)^2 are odd
+# and lie in (2^53, 2^54): float64 would round them to even.
+BELOW_2_53, ABOVE_2_53 = 54794149, 54794197   # consecutive primes around 3 (p - 1)^2 = 2^53
+
+
+@pytest.mark.parametrize("ring,inner,above", [
+    (yb.PrimeField(BELOW_2_53), 3, False), (yb.PrimeField(ABOVE_2_53), 3, True),
+    (yb.SeriesRing(BELOW_2_53, 3), 1, False), (yb.SeriesRing(ABOVE_2_53, 3), 1, True),
+    (yb.PadicRing(3, 16), 4, False), (yb.PadicRing(3, 16), 5, True),
+])
+def test_products_at_the_float64_bound(ring, inner, above):
+    series = isinstance(ring, yb.SeriesRing)
+    order, m = (ring.order, ring.p) if series else (1, ring.modulus)
+    terms = order * inner
+    if above:
+        assert 2**53 < terms * (m - 2) ** 2 < terms * (m - 1) ** 2 < 2**54
+        assert terms * (m - 2) ** 2 % 2 == 1
+    else:
+        assert terms * (m - 1) ** 2 < 2**53
+    top = m - 2 if above else m - 1
+    a, b = np.full((order, 2, inner), top), np.full((order, inner, 3), top)
+    got = ring.mat_mul(a, b) if series else ring.mat_mul(a[0], b[0])[None]
+    assert got.tolist() == series_product_longhand(m, a, b)
+
+
+@pytest.mark.parametrize("spec", ["F2[h]/h^4", "F3[h]/h^3", "F5[h]/h^6"])
+def test_series_products_match_the_schoolbook_longhand(spec):
+    ring = yb.parse_ring(spec)
+    rng = np.random.default_rng(ring.order)
+    # the shapes check_ybe multiplies on 3- and 4-element racks, and empty ones
+    for rows, inner, cols in ((9, 9, 81), (16, 16, 256), (0, 3, 5), (3, 0, 5), (3, 5, 0)):
+        a = rng.integers(0, ring.p, size=(ring.order, rows, inner))
+        b = rng.integers(0, ring.p, size=(ring.order, inner, cols))
+        got = ring.mat_mul(a, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == series_product_longhand(ring.p, a, b)
+
+
+@pytest.mark.parametrize("spec", ["F2[h]/h^4", "F5[h]/h^6"])
+def test_series_kron_multiplies_every_entry_pair(spec):
+    ring = yb.parse_ring(spec)
+    rng = np.random.default_rng(ring.order)
+    a, b = (rng.integers(0, ring.p, size=(ring.order, 2, 3)) for _ in range(2))
+    kron = ring.mat_kron(a, b)
+    for i, j, k, l in np.ndindex(2, 3, 2, 3):
+        assert ring.mat_entry(kron, 2 * i + k, 3 * j + l) == ring.mul(
+            ring.mat_entry(a, i, j), ring.mat_entry(b, k, l))
 
 
 @pytest.mark.parametrize("spec,fits", [

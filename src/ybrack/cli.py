@@ -23,11 +23,11 @@ from importlib import resources
 import numpy as np
 
 from . import catalog, linalg
-from .cochains import cohomology_dim, pair_basis, pair_mask
+from .cochains import cohomology_dim, pair_basis
 from .deformations import (TruncatedDeformation, YBEFailure, check_family_claims,
-                           instantiate_family, quasidiagonalize,
+                           instantiate_family, off_quasidiagonal_counts, quasidiagonalize,
                            random_family_parameters, rigidity_check)
-from .operators import (GaugeTransform, check_ybe, dump_operator,
+from .operators import (GaugeTransform, check_ybe, deform, dump_operator,
                         gauge_conjugate, load_operator, rack_operator)
 from .racks import RackAxiomError, behavior_partition, inner_group, load_rack
 from .rings import PrimeField, Rationals, parse_ring
@@ -291,14 +291,12 @@ def _perturbed_input(rack, ring, seed: int) -> TruncatedDeformation:
     operator, hidden behind a seeded random gauge conjugation."""
     rng = np.random.default_rng(seed)
     dim = rack.size
-    unit = ring.eye(dim * dim)
+    term = ring.zeros(dim * dim, dim * dim)
     for k in range(1, ring.order):
         coeff = int(rng.integers(0, ring.p))
-        unit = ring.mat_add(unit, ring.lift_digit_matrix(
+        term = ring.mat_add(term, ring.lift_digit_matrix(
             coeff * np.eye(dim * dim, dtype=np.int64), k))
-    base = rack_operator(rack, ring)
-    scalar_op = base.__class__(ring=ring, dim=dim,
-                               matrix=ring.mat_mul(base.matrix, unit), rack=rack)
+    scalar_op = deform(rack_operator(rack, ring), term)
     pert = ring.zeros(dim, dim)
     for k in range(1, ring.order):
         pert = ring.mat_add(pert, ring.lift_digit_matrix(
@@ -348,10 +346,7 @@ def cmd_quasidiagonalize(args) -> int:
                           "witness": list(err.witness[:2])}
         _finish(report, started, args.json_out)
         return MATH_FAILURE
-    offqd = ~pair_mask(rack, 2, "quasidiagonal")
-    term = final.term_offset()
-    residual = sum(int(np.count_nonzero(ring.digit_matrix(term, k).T * offqd))
-                   for k in range(ring.order))
+    residual = sum(off_quasidiagonal_counts(rack, ring, final.term_offset(), ring.order))
     factors = []
     for order, factor in zip(gauges.orders, gauges.factors):
         mat = linalg.ExactMatrix.from_grid(ring, factor)

@@ -93,6 +93,13 @@ class GaugeSequence:
         return _conjugate(op, self.ring.mat_inv(composite), composite)
 
 
+def off_quasidiagonal_counts(rack: RackTable, ring: Ring, term, orders: int) -> list[int]:
+    """Per order k < ``orders``, the number of nonzero order-k digits of a
+    deformation term outside the quasi-diagonal pairs."""
+    offdiag = ~pair_mask(rack, 2, "quasidiagonal")  # symmetric, so layout-safe
+    return [int(np.count_nonzero(ring.digit_matrix(term, k)[offdiag])) for k in range(orders)]
+
+
 def split_non_quasidiagonal(defm: TruncatedDeformation, order: int) -> Cochain:
     """Order-k coefficient of the non-quasi-diagonal entries of the term.
 
@@ -106,12 +113,11 @@ def split_non_quasidiagonal(defm: TruncatedDeformation, order: int) -> Cochain:
     ring = defm.ring
     rack = defm.rack
     term = defm.term_offset()
+    dirty = [k for k, n in enumerate(off_quasidiagonal_counts(rack, ring, term, order)) if n]
+    if dirty:
+        raise DeformationError(
+            f"term is not quasi-diagonal modulo ideal power {order} (digit {dirty[0]})")
     offdiag = ~pair_mask(rack, 2, "quasidiagonal")  # symmetric, so layout-safe
-    for k in range(order):
-        digit = ring.digit_matrix(term, k)
-        if np.any(digit.T * offdiag):
-            raise DeformationError(
-                f"term is not quasi-diagonal modulo ideal power {order} (digit {k})")
     field_ring = ring.residue_field()
     digit = ring.digit_matrix(term, order)
     values = (digit.T * offdiag) % field_ring.p
@@ -150,11 +156,8 @@ def quasidiagonalize(defm: TruncatedDeformation) -> tuple[GaugeSequence, Truncat
         if not verdict.holds:
             raise YBEFailure(verdict.failure_order, verdict.witness,
                              f"conjugation at order {k} broke the Yang-Baxter equation")
-    final_offset = current.term_offset()
-    offdiag = ~pair_mask(rack, 2, "quasidiagonal")
-    for k in range(ring.order):
-        if np.any(ring.digit_matrix(final_offset, k).T * offdiag):
-            raise DeformationError("engine failed to clear the non-quasi-diagonal part")
+    if any(off_quasidiagonal_counts(rack, ring, current.term_offset(), ring.order)):
+        raise DeformationError("engine failed to clear the non-quasi-diagonal part")
     return gauges, current
 
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .rings import (INT64_MAX, NotAFieldError, PrimeField, Rationals, Ring,
-                    SeriesRing, _is_prime)
+                    SeriesRing, _is_prime, _rref_mod_p)
 
 # The largest prime p whose elimination stays inside int64: every value it
 # forms lies within (p - 1)^2 + (p - 1) < 2^63.
@@ -228,37 +228,6 @@ def _blocks(mat: ExactMatrix):
 
 
 # -- elimination -----------------------------------------------------------------
-
-def _rref_mod_p(a: np.ndarray, p: int):
-    """RREF mod p of an int64 grid of residues, which it reduces in place
-    (the caller passes a grid it owns); returns (the grid, pivot columns).
-
-    A pivot row only changes the other rows in the columns where it is
-    nonzero, so each step updates just those cells.
-    """
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hit = a[:, c].nonzero()[0]
-        k = hit.searchsorted(r)
-        if k == hit.size:
-            continue
-        piv = hit[k]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        others = hit[hit != piv, None]  # after the swap, the rows to clear
-        support = c + a[r, c:].nonzero()[0]
-        prow = a[r, support] * pow(int(a[r, c]), -1, p) % p
-        a[r, support] = prow
-        if others.size:
-            a[others, support] = (a[others, support] - a[others, c] * prow) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
 
 @functools.cache
 def _prime(k: int) -> int:
@@ -470,9 +439,12 @@ def solve(mat: ExactMatrix, rhs) -> list | None:
 
 # -- dump format -------------------------------------------------------------
 #
-# header line:  "rows cols modulus"  with modulus 0 for rationals, p for F_p,
-# p for F_p[h]/h^N (values are comma-joined coefficient lists) and p^N for
-# Z/p^N; one line per nonzero entry: "row col value", 0-based indices.
+# header line:  "rows cols modulus"  with modulus 0 for rationals and p for
+# F_p, F_p[h]/h^N (values are comma-joined coefficient lists) and Z/p^N; one
+# line per nonzero entry: "row col value", 0-based indices.  The header names
+# only the characteristic, so a Z/p^N dump reads "p", not "p^N": the reader
+# must be given the ring.  The text stays as it is because the answer digests
+# in perfbench/expected.json pin it.
 
 def _modulus_field(ring: Ring) -> int:
     if isinstance(ring, Rationals):
@@ -489,12 +461,13 @@ def dump_matrix(mat: ExactMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_matrix(text: str, ring: Ring | None = None) -> ExactMatrix:
+def load_matrix(text: str, ring: Ring) -> ExactMatrix:
+    """Read a dump over ``ring``, refusing a header written for another modulus."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     rows, cols, modulus = lines[0].split()
     rows, cols, modulus = int(rows), int(cols), int(modulus)
-    if ring is None:
-        ring = Rationals() if modulus == 0 else PrimeField(modulus)
+    if modulus != _modulus_field(ring):
+        raise ValueError(f"dump header modulus {modulus} does not match ring {ring!r}")
     triples = []
     for ln in lines[1:]:
         i, j, value = ln.split(None, 2)

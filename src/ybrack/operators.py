@@ -53,10 +53,18 @@ class YBOperator:
     matrix: object           # ring-layout array of logical shape (dim^2, dim^2)
     rack: RackTable | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _reduced(self.ring, self.matrix))
+
     def entry(self, out_pair: tuple[int, int], in_pair: tuple[int, int]):
         code_out = out_pair[0] * self.dim + out_pair[1]
         code_in = in_pair[0] * self.dim + in_pair[1]
         return self.ring.mat_entry(self.matrix, code_out, code_in)
+
+
+def _reduced(ring: Ring, matrix):
+    """A caller's matrix as residues: the ring's products assume them."""
+    return ring.mat_add(matrix, ring.zeros(*ring.shape(matrix)))
 
 
 def _rack_grid(rack: RackTable) -> np.ndarray:
@@ -133,6 +141,7 @@ class GaugeTransform:
 
     def __post_init__(self):
         ring = self.ring
+        object.__setattr__(self, "matrix", _reduced(ring, self.matrix))
         n = ring.shape(self.matrix)[0]
         if ring.is_truncated:
             residue = ring.residue_matrix(self.matrix)

@@ -18,6 +18,8 @@ Moduli must fit in int64, and the int64 matrix kernels refuse (``ValueError``)
 any product whose sums of residue products could leave int64: ``mat_mul``
 needs inner * (m - 1)^2 < 2^63 for the modulus m, times N for F_p[h]/(h^N).
 
+A ring's identity is its spec, the text ``parse_ring`` reads ("F5", "Q",
+"F3[h]/h^3", "Z/3^2"): ``repr``, equality and hashing all derive from it.
 The two truncated rings share a uniform local-ring contract (valuation,
 residue projection onto F_p, canonical digit lift) so that deformation code
 can be written once for both.  All values are immutable and all operations
@@ -35,12 +37,11 @@ import numpy as np
 
 
 class NotAUnitError(ArithmeticError):
-    """Raised when inverting a non-unit; carries the element's valuation."""
+    """Raised when inverting a matrix that is not a unit; carries the matrix."""
 
-    def __init__(self, element, valuation):
+    def __init__(self, element):
         self.element = element
-        self.valuation = valuation
-        super().__init__(f"not a unit: {element!r} (valuation {valuation})")
+        super().__init__(f"not a unit: {element!r}")
 
 
 class NotAFieldError(TypeError):
@@ -87,6 +88,40 @@ def _convolve(a, b, modulus: int):
     return out
 
 
+def _rref_mod_p(a: np.ndarray, p: int):
+    """RREF mod p of an int64 grid of residues, which it reduces in place
+    (the caller passes a grid it owns); returns (the grid, pivot columns).
+
+    This is the one elimination over F_p: ``linalg`` reduces every block with
+    it and ``PrimeField.mat_inv`` reads inverses off it.  Every value it forms
+    lies within (p - 1)^2 + (p - 1), so it is exact for p up to 3037000493.
+    A pivot row only changes the other rows in the columns where it is
+    nonzero, so each step updates just those cells.
+    """
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hit = a[:, c].nonzero()[0]
+        k = hit.searchsorted(r)
+        if k == hit.size:
+            continue
+        piv = hit[k]
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        others = hit[hit != piv, None]  # after the swap, the rows to clear
+        support = c + a[r, c:].nonzero()[0]
+        prow = a[r, support] * pow(int(a[r, c]), -1, p) % p
+        a[r, support] = prow
+        if others.size:
+            a[others, support] = (a[others, support] - a[others, c] * prow) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
 def _is_prime(n: int) -> bool:
     """Miller-Rabin on the first twelve primes as bases: exact for n < 3.3 * 10^24."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -105,89 +140,36 @@ def _as_int_grid(entries):
 
 
 class Ring:
-    """Common interface; see the concrete subclasses for the scalar formats."""
+    """Shared behaviour; see the concrete subclasses for the scalar formats.
+    Each ring sets ``spec`` once, and its identity derives from it."""
 
     is_field = False
     is_truncated = False
+    spec: str
 
-    # -- scalars -----------------------------------------------------------
+    def __repr__(self):
+        return self.spec
+
+    def __eq__(self, other):
+        return isinstance(other, Ring) and other.spec == self.spec
+
+    def __hash__(self):
+        return hash(self.spec)
+
     def zero(self):
         return self.from_int(0)
 
     def one(self):
         return self.from_int(1)
 
-    def from_int(self, k: int):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
 
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
 
-    def scalar_str(self, a) -> str:
-        raise NotImplementedError
-
-    def scalar_parse(self, text: str):
-        raise NotImplementedError
-
-    # -- matrices (logical shape (rows, cols), layout per subclass) --------
-    def zeros(self, rows: int, cols: int):
-        raise NotImplementedError
-
-    def eye(self, n: int):
-        raise NotImplementedError
-
-    def from_int_matrix(self, entries):
-        """Embed an integer matrix (e.g. a permutation matrix) into the ring."""
-        raise NotImplementedError
-
-    def shape(self, mat) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def mat_add(self, a, b):
-        raise NotImplementedError
-
-    def mat_sub(self, a, b):
-        raise NotImplementedError
-
-    def mat_mul(self, a, b):
-        raise NotImplementedError
-
-    def mat_kron(self, a, b):
-        raise NotImplementedError
-
     def mat_eq(self, a, b) -> bool:
         return self.first_difference(a, b) is None
-
-    def first_difference(self, a, b):
-        """First entry (row-major) where two matrices differ, else None."""
-        raise NotImplementedError
-
-    def mat_entry(self, mat, i: int, j: int):
-        raise NotImplementedError
-
-    def mat_set_entry(self, mat, i: int, j: int, value):
-        raise NotImplementedError
-
-    def mat_inv(self, mat):
-        raise NotImplementedError
-
-    def mat_is_zero(self, mat) -> bool:
-        raise NotImplementedError
 
 
 class _IntegersMod(Ring):
@@ -224,6 +206,7 @@ class _IntegersMod(Ring):
         return np.eye(n, dtype=np.int64)
 
     def from_int_matrix(self, entries):
+        """Embed an integer matrix (e.g. a permutation matrix) into the ring."""
         return _as_int_grid(entries) % self.modulus
 
     def shape(self, mat):
@@ -243,6 +226,7 @@ class _IntegersMod(Ring):
         return np.kron(a, b) % self.modulus
 
     def first_difference(self, a, b):
+        """First entry (row-major) where two matrices differ, else None."""
         diff = (a - b) % self.modulus
         hits = np.argwhere(diff != 0)
         if hits.size == 0:
@@ -256,9 +240,6 @@ class _IntegersMod(Ring):
     def mat_set_entry(self, mat, i, j, value):
         mat[i, j] = value % self.modulus
 
-    def mat_is_zero(self, mat):
-        return not np.any(mat % self.modulus)
-
 
 class PrimeField(_IntegersMod):
     """F_p for a prime p; scalars are ints in [0, p)."""
@@ -271,15 +252,7 @@ class PrimeField(_IntegersMod):
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = self.modulus = p
-
-    def __repr__(self):
-        return f"F{self.p}"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
+        self.spec = f"F{p}"
 
     def inv(self, a):
         if a % self.p == 0:
@@ -287,20 +260,12 @@ class PrimeField(_IntegersMod):
         return pow(a, -1, self.p)
 
     def mat_inv(self, mat):
+        """The right block of the RREF of [A | I], when its pivots are 0..n-1."""
         _check_products(self.p, 1)
         n = mat.shape[0]
-        aug = np.concatenate([mat % self.p, self.eye(n)], axis=1)
-        for col in range(n):
-            nz = np.nonzero(aug[col:, col])[0]
-            if nz.size == 0:
-                raise NotAUnitError(mat, None)
-            piv = col + int(nz[0])
-            if piv != col:
-                aug[[col, piv]] = aug[[piv, col]]
-            aug[col] = aug[col] * pow(int(aug[col, col]), -1, self.p) % self.p
-            others = aug[:, col].copy()
-            others[col] = 0
-            aug = (aug - np.outer(others, aug[col])) % self.p
+        aug, pivots = _rref_mod_p(np.concatenate([mat % self.p, self.eye(n)], axis=1), self.p)
+        if pivots != list(range(n)):
+            raise NotAUnitError(mat)
         return aug[:, n:]
 
 
@@ -308,15 +273,7 @@ class Rationals(Ring):
     """The field Q; scalars are ``fractions.Fraction`` (always reduced)."""
 
     is_field = True
-
-    def __repr__(self):
-        return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Rationals")
+    spec = "Q"
 
     @staticmethod
     def _coerce(value) -> Fraction:
@@ -406,13 +363,15 @@ class Rationals(Ring):
         mat[i, j] = self._coerce(value)
 
     def mat_inv(self, mat):
+        """Gauss-Jordan on ``Fraction`` rows.  The certified elimination over Q
+        lives in ``linalg``, which imports this module, so it cannot serve here."""
         n = mat.shape[0]
         aug = [[Fraction(mat[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
                for i in range(n)]
         for col in range(n):
             piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
             if piv is None:
-                raise NotAUnitError(mat, None)
+                raise NotAUnitError(mat)
             aug[col], aug[piv] = aug[piv], aug[col]
             scale = 1 / aug[col][col]
             aug[col] = [scale * v for v in aug[col]]
@@ -426,56 +385,29 @@ class Rationals(Ring):
                 out[i, j] = aug[i][n + j]
         return out
 
-    def mat_is_zero(self, mat):
-        return all(v == 0 for v in mat.flat)
-
 
 class _TruncatedRing(Ring):
     """Shared contract of the two truncated local rings.
 
     Both rings are complete quotients with maximal ideal m and residue field
     F_p; the quotients m^k / m^{k+1} are one dimensional over F_p, and
-    ``digit`` / ``lift_digit`` realise that identification in both directions.
+    ``digit_matrix`` / ``lift_digit_matrix`` realise that identification in
+    both directions.  ``valuation`` gives the zero element the truncation order.
     """
 
     is_truncated = True
     p: int
     order: int  # nilpotency order N of the maximal ideal
 
+    def __init__(self, p: int, order: int):
+        if order < 1:
+            raise ValueError("truncation order must be at least 1")
+        self._residue_field = PrimeField(p)
+        self.p = p
+        self.order = order
+
     def residue_field(self) -> PrimeField:
-        return PrimeField(self.p)
-
-    def valuation(self, a) -> int:
-        """Ideal-adic valuation; the zero element gets the truncation order."""
-        raise NotImplementedError
-
-    def is_unit(self, a) -> bool:
-        return self.valuation(a) == 0
-
-    def invert_unit(self, a):
-        raise NotImplementedError
-
-    def digit(self, a, k: int) -> int:
-        """Order-k coefficient, an element of the residue field."""
-        raise NotImplementedError
-
-    def lift_digit(self, r: int, k: int):
-        """Canonical lift of a residue-field element into m^k."""
-        raise NotImplementedError
-
-    # matrix-level residue/digit maps (int64 arrays over F_p)
-    def residue_matrix(self, mat):
-        raise NotImplementedError
-
-    def digit_matrix(self, mat, k: int):
-        raise NotImplementedError
-
-    def lift_digit_matrix(self, grid, k: int):
-        raise NotImplementedError
-
-    def min_valuation(self, mat) -> int:
-        """Smallest entry valuation of a matrix (truncation order if zero)."""
-        raise NotImplementedError
+        return self._residue_field
 
     def mat_inv(self, mat):
         # Newton iteration X <- X(2I - AX) doubles the correct order each
@@ -495,19 +427,8 @@ class SeriesRing(_TruncatedRing):
     """F_p[h]/(h^N); scalars are tuples (c_0, ..., c_{N-1}) of residues."""
 
     def __init__(self, p: int, order: int):
-        if order < 1:
-            raise ValueError("truncation order must be at least 1")
-        self.p = PrimeField(p).p  # reuse the primality check
-        self.order = order
-
-    def __repr__(self):
-        return f"F{self.p}[h]/h^{self.order}"
-
-    def __eq__(self, other):
-        return isinstance(other, SeriesRing) and (other.p, other.order) == (self.p, self.order)
-
-    def __hash__(self):
-        return hash(("SeriesRing", self.p, self.order))
+        super().__init__(p, order)
+        self.spec = f"F{p}[h]/h^{order}"
 
     def from_int(self, k):
         return (k % self.p,) + (0,) * (self.order - 1)
@@ -535,21 +456,6 @@ class SeriesRing(_TruncatedRing):
             if x % self.p != 0:
                 return k
         return self.order
-
-    def invert_unit(self, a):
-        val = self.valuation(a)
-        if val != 0:
-            raise NotAUnitError(a, val)
-        # b_k determined order by order from (a b)_k = 0 for k >= 1
-        inv0 = pow(a[0], -1, self.p)
-        out = [inv0] + [0] * (self.order - 1)
-        for k in range(1, self.order):
-            acc = sum(a[i] * out[k - i] for i in range(1, k + 1))
-            out[k] = (-inv0 * acc) % self.p
-        return tuple(out)
-
-    def digit(self, a, k):
-        return a[k] % self.p
 
     def lift_digit(self, r, k):
         out = [0] * self.order
@@ -610,9 +516,6 @@ class SeriesRing(_TruncatedRing):
     def mat_set_entry(self, mat, i, j, value):
         mat[:, i, j] = np.asarray(value, dtype=np.int64) % self.p
 
-    def mat_is_zero(self, mat):
-        return not np.any(mat % self.p)
-
     def residue_matrix(self, mat):
         return mat[0] % self.p
 
@@ -635,22 +538,11 @@ class PadicRing(_TruncatedRing, _IntegersMod):
     """Z/p^N viewed as a truncation of the p-adic integers; scalars are ints."""
 
     def __init__(self, p: int, order: int):
-        if order < 1:
-            raise ValueError("truncation order must be at least 1")
-        self.p = PrimeField(p).p
-        self.order = order
+        super().__init__(p, order)
         if order >= 63 or p**order > INT64_MAX:  # p >= 2, so order >= 63 never fits
             raise ValueError(f"modulus {p}^{order} does not fit in int64 (at most {INT64_MAX})")
         self.modulus = p**order
-
-    def __repr__(self):
-        return f"Z/{self.p}^{self.order}"
-
-    def __eq__(self, other):
-        return isinstance(other, PadicRing) and (other.p, other.order) == (self.p, self.order)
-
-    def __hash__(self):
-        return hash(("PadicRing", self.p, self.order))
+        self.spec = f"Z/{p}^{order}"
 
     def valuation(self, a):
         a %= self.modulus
@@ -661,15 +553,6 @@ class PadicRing(_TruncatedRing, _IntegersMod):
             a //= self.p
             val += 1
         return val
-
-    def invert_unit(self, a):
-        val = self.valuation(a)
-        if val != 0:
-            raise NotAUnitError(a, val)
-        return pow(a, -1, self.modulus)
-
-    def digit(self, a, k):
-        return (a % self.modulus) // self.p**k % self.p
 
     def lift_digit(self, r, k):
         return (r % self.p) * self.p**k % self.modulus
@@ -713,13 +596,5 @@ def parse_ring(spec: str) -> Ring:
 
 
 def ring_spec(ring: Ring) -> str:
-    """Inverse of parse_ring for the four supported ring families."""
-    if isinstance(ring, Rationals):
-        return "Q"
-    if isinstance(ring, PrimeField):
-        return f"F{ring.p}"
-    if isinstance(ring, SeriesRing):
-        return f"F{ring.p}[h]/h^{ring.order}"
-    if isinstance(ring, PadicRing):
-        return f"Z/{ring.p}^{ring.order}"
-    raise TypeError(f"unknown ring {ring!r}")
+    """Inverse of parse_ring: the spec that is the ring's identity."""
+    return ring.spec

@@ -2,7 +2,9 @@
 
 ``perfbench/spans.py`` wraps each method in its ``METHODS`` table for the
 traced run and counts stored nonzeros through ``ExactMatrix.nnz``; a library
-change that removes one of them breaks ``perfbench/run.py --trace 1``.  Every
+change that removes one of them breaks ``perfbench/run.py --trace 1``.  The
+gauge workload calls ring methods directly, so removing one of those breaks
+every run.  Every
 set-up probe of the benchmark imports the library afresh, so a new
 third-party import shows up in its ``setup_s``.
 """
@@ -31,6 +33,16 @@ def test_every_traced_method_resolves():
     for module, cls, method, _ in _spans().METHODS:
         owner = getattr(importlib.import_module(f"ybrack.{module}"), cls)
         assert callable(getattr(owner, method, None)), (module, cls, method)
+
+
+def test_every_ring_method_the_workloads_call_resolves():
+    # perfbench/workloads.py builds its gauge inputs over both truncated rings
+    methods = ("mat_add", "eye", "zeros", "lift_digit_matrix", "digit_matrix", "mat_eq",
+               "lift_digit", "add", "zero")
+    for ring in (yb.SeriesRing(3, 2), yb.PadicRing(3, 2)):
+        missing = [name for name in methods if not callable(getattr(ring, name, None))]
+        assert not missing, (ring, missing)
+        assert (ring.p, ring.order) == (3, 2)
 
 
 def test_exact_matrix_counts_its_nonzeros():

@@ -373,12 +373,21 @@ def test_dump_and_load_round_trip():
     text = linalg.dump_matrix(m)
     assert text.splitlines()[0] == "2 2 0"
     assert "1/2" in text
-    back = linalg.load_matrix(text)
+    back = linalg.load_matrix(text, ring)
     assert back.entry(0, 0) == Fraction(1, 2)
     assert back.entry(1, 1) == Fraction(-3)
 
     F5 = yb.PrimeField(5)
     m5 = matrix(F5, [[0, 3], [4, 0]])
-    back5 = linalg.load_matrix(linalg.dump_matrix(m5))
+    back5 = linalg.load_matrix(linalg.dump_matrix(m5), F5)
     assert back5.entry(0, 1) == 3 and back5.entry(1, 0) == 4
     assert back5.ring == F5
+
+
+@pytest.mark.parametrize("spec", ["F5", "Q", "F5[h]/h^2", "Z/5^2"])
+def test_load_refuses_a_dump_for_another_modulus(spec):
+    with pytest.raises(ValueError, match="does not match ring"):
+        linalg.load_matrix(PINNED_DUMPS["Z/3^2"], yb.parse_ring(spec))
+    ring = yb.parse_ring("Z/3^2")
+    assert linalg.dump_matrix(linalg.load_matrix(PINNED_DUMPS["Z/3^2"], ring)) == \
+        PINNED_DUMPS["Z/3^2"]

@@ -105,6 +105,29 @@ def test_operator_invertibility_check():
         yb.operator_from_matrix(F2, 2, F2.from_int_matrix(grid))
 
 
+def _products_longhand(a, b, modulus):
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % modulus for col in zip(*b)]
+            for row in a.tolist()]
+
+
+@pytest.mark.parametrize("name", ["quandle3", "dihedral4"])
+def test_unreduced_caller_matrices_are_reduced_where_they_enter(name):
+    # entries of 5 U with U in [2^26, 2^27) push float64 partial sums past 2^53,
+    # which products of residues mod 5 never reach
+    F5 = yb.PrimeField(5)
+    rng = np.random.default_rng(27)
+    base = yb.rack_operator(yb.catalog.FIXTURE_RACKS[name](), F5)
+    unreduced = base.matrix + 5 * rng.integers(2**26, 2**27, size=base.matrix.shape)
+    op = yb.operator_from_matrix(F5, base.dim, unreduced)
+    assert yb.check_ybe(op)
+    assert F5.mat_mul(op.matrix, op.matrix).tolist() == _products_longhand(
+        unreduced, unreduced, 5)
+    ring = yb.parse_ring("F5[h]/h^2")
+    eye = ring.eye(base.dim)
+    alpha = yb.GaugeTransform(ring, eye + 5 * rng.integers(2**26, 2**27, size=eye.shape))
+    assert np.array_equal(alpha.matrix, eye)
+
+
 def test_gauge_transform_requires_identity_residue():
     ring = yb.parse_ring("F3[h]/h^2")
     bad = ring.from_int_matrix(2 * np.eye(3, dtype=np.int64))

@@ -10,9 +10,10 @@ element it reads, for position i = 1..n,
        - [x_i == y_i] * |x_1^{x_i}..x_{i-1}^{x_i}, x_{i+1}.. ; ..|
 
 so it is the transpose of the partial coboundary at position i-1: the same
-grouped summands, gathered from the output pairs of the coboundary and
-scattered back into its input pairs by an exact int64 ``np.add.at``, since
-there several pairs meet.  As for cochains, the input is reduced once over
+key classes, each gathered from the output pairs of the coboundary.  A
+class lists its tuples in the order of their sources, so its gather is a
+grid over the input pairs, and the classes of a summand add up in int64
+into the full input grid.  As for cochains, the input is reduced once over
 F_p and range-checked over Q before anything is summed.  The pairing
 <f | g> = tr(f g) = sum f[x, y] g[y, x] intertwines the two complexes.
 Degree-0 chains are scalars.
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import encode_tuple, position_data
+from .indexing import encode_tuple
 from .racks import RackTable
 from .rings import INT64_MAX, Ring
-from .cochains import Cochain, _modulus, _pair_codes, _reduce, _summable, dump_cochain
+from .cochains import (Cochain, _modulus, _reduce, _summable, _summands, cochain_from_entries,
+                       dump_cochain)
 
 
 @dataclass(frozen=True)
@@ -58,26 +60,20 @@ def zero_chain(rack: RackTable, degree: int, ring: Ring) -> Chain:
 
 
 def chain_from_entries(rack: RackTable, degree: int, ring: Ring, entries) -> Chain:
-    values = zero_chain(rack, degree, ring).values
-    q = rack.size
-    for (xs, ys), v in entries.items():
-        values[encode_tuple(q, xs), encode_tuple(q, ys)] = v
-    return Chain(rack, degree, ring, _reduce(values, ring))
+    return Chain(rack, degree, ring, cochain_from_entries(rack, degree, ring, entries).values)
 
 
 def _signed_boundaries(f: Chain, signs: dict[int, int]) -> Chain:
-    """The sum of sign * boundary_i f over {i: sign}: per position one gather
-    from f and one exact int64 ``np.add.at`` into the source pairs."""
+    """The sum of sign * boundary_i f over {i: sign}: per chunk of key
+    classes one gather from f, summed over the classes into the input grid."""
     side = f.rack.size ** (f.degree - 1)
-    out = np.zeros(side * side, dtype=np.int64)
+    out = np.zeros((side, side), dtype=np.int64)
     # each summand gathers q entries into every source pair
-    flat = _summable(f.values, f.ring, 2 * f.rack.size * len(signs))
+    flat = _summable(f.values, f.ring, 2 * f.rack.size * len(signs)).reshape(-1)
     for i, sign in signs.items():
-        data = position_data(f.rack, f.degree, i - 1)
-        vals = flat[_pair_codes(data.members, data.drop.size)]
-        vals = vals * np.array([sign, -sign])[:, None, None, None]
-        np.add.at(out, _pair_codes(data.sources, side), vals)
-    return Chain(f.rack, f.degree - 1, f.ring, _reduce(out.reshape(side, side), f.ring))
+        for summand, rows in _summands(f.rack, f.degree, i - 1):
+            out += sign * summand * flat[rows].sum(axis=0)
+    return Chain(f.rack, f.degree - 1, f.ring, _reduce(out, f.ring))
 
 
 def partial_boundary(f: Chain, i: int) -> Chain:

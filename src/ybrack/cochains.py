@@ -10,12 +10,13 @@ coboundary with respect to position i of the output tuples is
 
 and the coboundary is the alternating sum over i = 0..n.  A summand only
 reaches pairs within one key class of :func:`ybrack.indexing.position_data`,
-each at most once, so it is an int64 gather into 1/q of the output pairs,
-walked in cache-sized chunks of key classes.  Over F_p the input is reduced
+each at most once.  A class lists its tuples in source order, so the summand
+scatters the whole input grid into each class, 1/q of the output pairs, with
+no gather, in cache-sized chunks of classes.  Over F_p the input is reduced
 first; d_i writes its first summand and subtracts the second, adding p back
-where that goes negative, and d reduces its accumulated grid once.  Over Q
-a sum that could leave int64 raises ``OverflowError``.  The matrix of d^n
-is the same incidence as coordinates.
+where that goes negative, and d reduces its grid once, in place.  Over Q a
+sum that could leave int64 raises ``OverflowError``.  The matrix of d^n is
+the same incidence as coordinates.
 
 Coefficients: a prime field reduces entries mod p; rationals are handled
 with integer representatives (the complex maps are additive with unit
@@ -68,14 +69,17 @@ def _reduce(values: np.ndarray, ring: Ring) -> np.ndarray:
     numpy's int64 ``%`` is several times slower per entry than floor division
     by a scalar, so large arrays take x - p*floor(x/p), exact for
     |x| < 2^63 - p, and small ones, where call overhead dominates, one ``%``.
+    Large arrays go in slices of about ``CHUNK_PAIRS`` entries along the first
+    axis, each a view for any memory layout, so no full-size temporary is made.
     """
     mod = _modulus(ring)
     if mod and values.size < 1024:
         np.remainder(values, mod, out=values)
     elif mod:
-        quotient = values // mod
-        quotient *= mod
-        values -= quotient
+        step = max(CHUNK_PAIRS * len(values) // values.size, 1)
+        for lo in range(0, len(values), step):
+            block = values[lo:lo + step]
+            block -= block // mod * mod
     return values
 
 
@@ -93,13 +97,12 @@ def _check_range(ring: Ring, terms: int, *grids: np.ndarray) -> None:
 
 
 def _summable(values: np.ndarray, ring: Ring, terms: int) -> np.ndarray:
-    """The entries, flat, ready to be summed ``terms`` at a time: a reduced
-    copy over F_p, the range-checked values themselves over Q."""
-    flat = values.reshape(-1)
+    """The entries, ready to be summed ``terms`` at a time: a reduced copy
+    over F_p, the range-checked values themselves over Q."""
     if _modulus(ring):
-        flat = _reduce(flat.copy(), ring)
-    _check_range(ring, terms, flat)
-    return flat
+        values = _reduce(values.copy(), ring)
+    _check_range(ring, terms, values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -186,56 +189,55 @@ def _pair_codes(codes: np.ndarray, side: int) -> np.ndarray:
     return codes[..., :, None] * side + codes[..., None, :]
 
 
-def _summands(f: Cochain, flat: np.ndarray, i: int):
-    """Yield (sign, rows, vals) for the two summands of d_i f: rows are output
-    pair codes, distinct within a summand, and vals the entries of ``flat``
-    sent there.  The 2q key classes (the drop summand's, then the conj
+def _summands(rack: RackTable, length: int, i: int):
+    """Yield (sign, rows) for the two summands of the i-th partial coboundary
+    into ``length``-tuples: input pair (s, t) reaches output pair rows[c, s, t]
+    in key class c.  The 2q classes (the drop summand's, then the conj
     summand's) go in chunks of about ``CHUNK_PAIRS`` pairs, so the whole drop
     summand comes first, and small degrees take one chunk."""
-    q = f.rack.size
-    side_in = q**f.degree
-    data = position_data(f.rack, f.degree + 1, i)
-    members = data.members.reshape(2 * q, side_in)
-    sources = data.sources.reshape(2 * q, side_in)
+    q = rack.size
+    members = position_data(rack, length, i).members.reshape(2 * q, -1)
+    side_in = members.shape[1]
     per = max(CHUNK_PAIRS // side_in**2, 1)
     for lo in range(0, 2 * q, per):
         rows = _pair_codes(members[lo:lo + per], side_in * q)
-        vals = flat[_pair_codes(sources[lo:lo + per], side_in)]
         cut = max(q - lo, 0)  # classes below q are the drop summand's
         if cut:
-            yield 1, rows[:cut], vals[:cut]
+            yield 1, rows[:cut]
         if lo + per > q:
-            yield -1, rows[cut:], vals[cut:]
+            yield -1, rows[cut:]
 
 
 def partial_coboundary(f: Cochain, i: int) -> Cochain:
     if not 0 <= i <= f.degree:
         raise IndexError(f"partial coboundary index {i} outside 0..{f.degree}")
     mod = _modulus(f.ring)
-    flat = _summable(f.values, f.ring, 2)
+    grid = _summable(f.values, f.ring, 2)
     side = f.rack.size ** (f.degree + 1)
     out = np.zeros(side * side, dtype=np.int64)
-    for sign, rows, vals in _summands(f, flat, i):
+    for sign, rows in _summands(f.rack, f.degree + 1, i):
         if sign > 0:
-            out[rows] = vals
+            out[rows] = grid
+        elif mod:  # a - b mod p is the smaller of a - b and a - b + p, read unsigned
+            diff = out[rows].view(np.uint64)
+            diff -= grid.view(np.uint64)
+            np.minimum(diff, diff + mod, out=diff)
+            out[rows] = diff.view(np.int64)
         else:
-            diff = out[rows] - vals
-            if mod:
-                diff += (diff >> 63) & mod  # adds p where diff < 0
-            out[rows] = diff
+            out[rows] -= grid
     return Cochain(f.rack, f.degree + 1, f.ring, out.reshape(side, side))
 
 
 def coboundary(f: Cochain) -> Cochain:
-    flat = _summable(f.values, f.ring, 2 * (f.degree + 1))
+    grid = _summable(f.values, f.ring, 2 * (f.degree + 1))
     side = f.rack.size ** (f.degree + 1)
     out = np.zeros(side * side, dtype=np.int64)
     for i in range(f.degree + 1):
-        for sign, rows, vals in _summands(f, flat, i):
+        for sign, rows in _summands(f.rack, f.degree + 1, i):
             if sign * (-1) ** i > 0:
-                out[rows] += vals
+                out[rows] += grid
             else:
-                out[rows] -= vals
+                out[rows] -= grid
     return Cochain(f.rack, f.degree + 1, f.ring, _reduce(out.reshape(side, side), f.ring))
 
 
@@ -255,9 +257,9 @@ def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
     if out_dim > MATRIX_ENTRY_CAP:
         raise SizeGuardError(out_dim, MATRIX_ENTRY_CAP)
     in_dim = q ** (2 * degree)
-    data = [position_data(rack, degree + 1, i) for i in range(degree + 1)]
-    rows = _pair_codes(np.stack([d.members for d in data]), q ** (degree + 1))
-    cols = _pair_codes(np.stack([d.sources for d in data]), q**degree)
+    members = [position_data(rack, degree + 1, i).members for i in range(degree + 1)]
+    rows = _pair_codes(np.stack(members), q ** (degree + 1))
+    cols = np.tile(np.arange(in_dim), rows.size // in_dim)  # slot pairs are input pairs
     # summand s of position i enters with sign (-1)^(i+s)
     signs = np.array([[(-1) ** (i + s) for s in (0, 1)] for i in range(degree + 1)])
     signs = np.broadcast_to(signs[:, :, None, None, None], rows.shape).reshape(-1)

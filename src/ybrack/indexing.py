@@ -11,13 +11,14 @@ by the two summands of a partial (co)boundary are tabulated once per
                  by the deleted one: (x_0^{x_j}, ..., x_{j-1}^{x_j}, x_{j+1}, ...)
 * ``members`` -- shape (2, q, q^(L-1)): the tuples grouped by the key of the
                  drop summand (row 0: the deleted coordinate pushed through
-                 the later ones, x_j^{x_{j+1} ... x_{L-1}}) and of the conj
-                 summand (row 1: the deleted coordinate itself)
-* ``sources`` -- ``drop`` of the row-0 and ``conj`` of the row-1 members
+                 the later ones, x_j^{x_{j+1} ... x_{L-1}}), in ``drop``
+                 order, and of the conj summand (row 1: the deleted
+                 coordinate itself), in ``conj`` order
 
 A summand pairs two tuples exactly when their keys agree, so it reaches the
-pairs within one key class, 1/q of all pairs.  Each class has q^(L-1)
-members because right translations are permutations (Q2, see ``validate``).
+pairs within one key class, 1/q of all pairs, and slot s of every class has
+source tuple s.  Each slot holds one tuple because right translations are
+permutations (Q2, see ``validate``); a table that breaks Q2 is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .racks import RackTable, behavior_partition
+from .racks import RackAxiomError, RackTable, behavior_partition
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class PositionData:
     drop: np.ndarray
     conj: np.ndarray
     members: np.ndarray
-    sources: np.ndarray
 
 
 def tuple_coordinates(q: int, length: int) -> list[np.ndarray]:
@@ -44,10 +44,7 @@ def tuple_coordinates(q: int, length: int) -> list[np.ndarray]:
 
 
 def decode_tuple(q: int, code: int, length: int) -> tuple[int, ...]:
-    out = []
-    for j in range(length):
-        out.append(code // q ** (length - 1 - j) % q)
-    return tuple(out)
+    return tuple(code // q ** (length - 1 - j) % q for j in range(length))
 
 
 def encode_tuple(q: int, tup) -> int:
@@ -78,12 +75,16 @@ def position_data(rack: RackTable, length: int, position: int) -> PositionData:
     act = coords[j].copy()
     for a in range(j + 1, length):
         act = table[act, coords[a]]
-    members = np.stack([np.argsort(key, kind="stable").reshape(q, -1)
-                        for key in (act, coords[j])])
-    sources = np.stack([drop[members[0]], conj[members[1]]])
-    for arr in (drop, conj, members, sources):
+    members = np.full((2, q, q ** (length - 1)), -1, dtype=np.int64)
+    members[0, act, drop] = codes
+    members[1, coords[j], conj] = codes
+    if (members < 0).any():  # two tuples met on one slot, so another stayed empty
+        summand, key, slot = np.argwhere(members < 0)[0].tolist()
+        raise RackAxiomError("Q2", f"position {j}, {('drop', 'conj')[summand]} summand, key class "
+                             f"{key}", f"no length-{length} tuple has source {slot} there")
+    for arr in (drop, conj, members):
         arr.setflags(write=False)
-    return PositionData(drop=drop, conj=conj, members=members, sources=sources)
+    return PositionData(drop=drop, conj=conj, members=members)
 
 
 @lru_cache(maxsize=None)

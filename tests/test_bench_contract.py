@@ -61,3 +61,17 @@ def test_importing_the_library_loads_only_numpy_beyond_the_standard_library():
     assert "ybrack" in loaded
     extra = loaded - sys.stdlib_module_names - {"numpy", "ybrack"}
     assert not extra, sorted(extra)
+
+
+def test_position_data_is_a_functools_cache():
+    # perfbench/run.py reads position_data.cache_info().misses after every
+    # traced pass, and run_pass clears every cache spans.caches finds
+    spans = _spans()
+    cached = yb.indexing.position_data
+    assert cached in spans.caches(yb)
+    assert spans.public_functions(yb)["indexing.position_data"] is cached
+    cached.cache_clear()
+    rack = yb.catalog.quandle3()
+    assert cached(rack, 2, 1) is cached(rack, 2, 1)
+    info = cached.cache_info()
+    assert (info.hits, info.misses) == (1, 1)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +518,49 @@ def test_degree_four_apply_matches_the_oracle(rack, ring):
         xi, yi = divmod(int(code), size)
         want = oracles.coboundary_entry(rack, table, decode_tuple(4, xi, 5), decode_tuple(4, yi, 5))
         assert int(got[xi, yi]) == (want % mod if mod else want)
+
+
+def test_reduce_writes_through_strided_views():
+    # larger than one chunk, so the reduction runs slice by slice
+    rng = np.random.default_rng(14)
+    base = rng.integers(-2**62, 2**62, size=(300, 300))
+    want = [[int(v) % 5 for v in row] for row in base.T.tolist()]
+    view = base.T
+    assert view.size > cochains.CHUNK_PAIRS and not view.flags.c_contiguous
+    assert cochains._reduce(view, F5) is view
+    assert view.tolist() == want
+    strided = rng.integers(-2**62, 2**62, size=(600, 900))
+    want = [[int(v) % 5 for v in row] for row in strided[::2, ::3].tolist()]
+    cochains._reduce(strided[::2, ::3], F5)
+    assert strided[::2, ::3].tolist() == want
+
+
+@pytest.mark.parametrize("p", [2, 5, linalg.MAX_PRIME])
+@pytest.mark.parametrize("size", [10, 3000])  # one remainder; floor division
+def test_reduce_is_exact_at_the_edge_of_its_range(p, size):
+    edge = 2**63 - p - 1
+    values = np.resize(np.array([edge, -edge, edge - 1, 1 - edge, 0, -1], dtype=np.int64), size)
+    want = [v % p for v in values.tolist()]
+    assert cochains._reduce(values, yb.PrimeField(p)).tolist() == want
+
+
+@pytest.mark.parametrize("ring", [F5, QQ], ids=str)
+@pytest.mark.parametrize("apply", ["coboundary", "partial_coboundary"])
+def test_degree_four_apply_allocates_little_beyond_its_output(ring, apply):
+    # the output is 1024 x 1024 int64, 8 MiB; no full-size temporary is made
+    rack = yb.catalog.dihedral4()
+    f = _unreduced(rack, 4, ring, np.random.default_rng(5))
+    calls = [lambda: yb.coboundary(f)] if apply == "coboundary" else \
+        [lambda i=i: yb.partial_coboundary(f, i) for i in range(5)]
+    for call in calls:
+        call()  # tabulates the key classes outside the measurement
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.35 * out.values.nbytes, (peak, out.values.nbytes)
 
 
 # -- int64 range over Q ------------------------------------------------------------------

@@ -411,11 +411,14 @@ class _TruncatedRing(Ring):
 
     def mat_inv(self, mat):
         # Newton iteration X <- X(2I - AX) doubles the correct order each
-        # step, starting from the inverse of the residue matrix.
+        # step, starting from the inverse of the residue matrix.  A gauge
+        # transform's residue is I, its own inverse, so it skips elimination.
         res = self.residue_matrix(mat)
-        inv0 = self.residue_field().mat_inv(res)
-        x = self.from_int_matrix(inv0)
         n = self.shape(mat)[0]
+        if np.array_equal(res, np.eye(n, dtype=np.int64)):
+            x = self.eye(n)
+        else:
+            x = self.from_int_matrix(self.residue_field().mat_inv(res))
         two_eye = self.mat_add(self.eye(n), self.eye(n))
         steps = max(1, (self.order - 1).bit_length())
         for _ in range(steps):

@@ -4,11 +4,17 @@ Everything here works on plain Python tuples and dicts, straight from the
 displayed formulas, sharing no code with the vectorised implementations it
 checks.  Signs and index conventions are written out longhand on purpose.
 The Kronecker lift is built with the rings' ``mat_kron``, which the
-strand-wise braid check and gauge conjugation never call.
+strand-wise braid check and gauge conjugation never call.  The representative
+longhand composes the library's level maps, which the homotopy identities
+check against the displayed formulas, and exchanges each step with the level
+projection, which the library's single walk does not build.
 """
 
 from itertools import product
 from operator import mul
+
+from ybrack.cochains import add, coboundary, scale, zero_cochain
+from ybrack.homotopy import insertion_homotopy, level_projection
 
 
 def all_tuples(q, n):
@@ -252,3 +258,20 @@ def braid_verdict_longhand(ring, matrix, dim):
     if ring.is_truncated:
         order = min(ring.valuation(ring.sub(*pair)) for pair in diffs.values())
     return False, (*first, *diffs[first]), order
+
+
+def representative_longhand(f):
+    """(rep, g) for a cocycle f, walking every level m = 0..degree-1 and
+    checking at each that the level projection p(c) equals c + d(step) for
+    step = -(-1)^(degree-m) s(c)."""
+    n = f.degree
+    if not coboundary(f).is_zero():
+        raise ValueError("not a cocycle")
+    current, g = f, zero_cochain(f.rack, n - 1, f.ring)
+    for m in range(n):
+        step = scale(1 if (n - m) % 2 else -1, insertion_homotopy(current, m))
+        advanced = add(current, coboundary(step))
+        if (advanced.values != level_projection(current, m).values).any():
+            raise AssertionError(f"level-{m} projection is not c + d(step)")
+        current, g = advanced, add(g, step)
+    return current, g

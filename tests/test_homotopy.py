@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +12,8 @@ from ybrack import linalg
 from ybrack.cochains import cochain_to_vector, sub as csub
 from ybrack.indexing import class_coordinates
 
-from conftest import random_cochain
+from conftest import random_cochain, small_rack_sample
+from oracles import coboundary_entry, representative_longhand
 
 F2 = yb.PrimeField(2)
 F3 = yb.PrimeField(3)
@@ -218,28 +225,99 @@ def test_witness_map_postcondition_names_the_pair(monkeypatch):
     assert not rack.op(u, x) == rack.op(v, y) == 0  # z = 0 separates the shifted table
 
 
-def test_representative_checks_each_level_exchange(monkeypatch):
-    # a level projection that disagrees with f + d(step) is reported at the
-    # first differing entry
+def test_representative_matches_the_longhand_walk():
+    # every small rack over F2, F3, F5 and Q: random coboundaries, plus the
+    # identity cocycle in degree 2; degree 3 wherever the rack has q <= 4
+    rng = np.random.default_rng(80)
+    for rack in small_rack_sample():
+        for ring in (F2, F3, F5, yb.Rationals()):
+            for n in (2, 3) if rack.size <= 4 else (2,):
+                exact = yb.coboundary(random_cochain(rack, n - 1, ring, rng))
+                cases = [exact]
+                if n == 2:
+                    ident = yb.identity_cochain(rack, 2, ring)
+                    cases += [ident, yb.cochains.add(exact, ident)]
+                for f in cases:
+                    rep, g = yb.quasidiagonal_representative(f)
+                    want_rep, want_g = representative_longhand(f)
+                    assert np.array_equal(rep.values, want_rep.values)
+                    assert np.array_equal(g.values, want_g.values)
+
+
+def _plant_in_steps(monkeypatch, degree, entry):
+    """Make the walk's d(step) carry one extra entry, so the next cocycle
+    check sees d of that entry's indicator."""
+    real = yb.homotopy.coboundary
+
+    def planted(c):
+        out = real(c)
+        if c.degree == degree - 1:
+            out = yb.cochains.add(out, yb.cochain_from_entries(c.rack, degree, c.ring, {entry: 1}))
+        return out
+    monkeypatch.setattr(yb.homotopy, "coboundary", planted)
+
+
+@pytest.mark.parametrize("n,message,witness", [
+    (3, "level-1 start is not a cocycle", ((0, 0, 0, 2), (0, 0, 0, 2))),
+    (2, "representative is not a cocycle", ((0, 0, 2), (0, 0, 2))),
+])
+def test_representative_checks_each_cocycle(monkeypatch, n, message, witness):
+    # a quasi-diagonal entry planted in d(step) passes the quasi-diagonal
+    # check, so the level-1 start (degree 3) or the final cocycle check
+    # (degree 2) must catch it, at the first nonzero entry of its coboundary
     rack = yb.catalog.quandle3()
-    ident = yb.identity_cochain(rack, 2, F2)
-    monkeypatch.setattr(yb.homotopy, "level_projection",
-                        lambda f, m: yb.zero_cochain(f.rack, f.degree, f.ring))
-    with pytest.raises(yb.PostconditionError) as err:
-        yb.quasidiagonal_representative(ident)
-    assert err.value.witness == ((0, 0), (0, 0))
+    entry = ((0,) * n, (0,) * n)
+    f = yb.coboundary(random_cochain(rack, n - 1, F3, np.random.default_rng(78)))
+    _plant_in_steps(monkeypatch, n, entry)
+    with pytest.raises(yb.PostconditionError, match=message) as err:
+        yb.quasidiagonal_representative(f)
+    assert err.value.witness == witness
+    assert coboundary_entry(rack, {entry: 1}, *witness) != 0
+
+
+def test_representative_checks_quasidiagonal_with_the_step_sign_flipped(monkeypatch):
+    # d(-step) keeps the cochain a cocycle but doubles its off-diagonal part
+    rack = yb.catalog.dihedral3()
+    f = yb.coboundary(random_cochain(rack, 1, F3, np.random.default_rng(79)))
+    real = yb.homotopy.insertion_homotopy
+    monkeypatch.setattr(yb.homotopy, "insertion_homotopy",
+                        lambda g, m: yb.cochains.scale(-1, real(g, m)))
+    with pytest.raises(yb.PostconditionError, match="not quasi-diagonal") as err:
+        yb.quasidiagonal_representative(f)
+    assert err.value.witness == ((0, 0), (0, 1))
+
+
+def test_representative_cocycle_check_holds_under_python_O():
+    script = textwrap.dedent("""
+        import ybrack as yb
+        rack, F3 = yb.catalog.quandle3(), yb.PrimeField(3)
+        real = yb.homotopy.coboundary
+        plant = yb.cochain_from_entries(rack, 2, F3, {((0, 0), (0, 0)): 1})
+        yb.homotopy.coboundary = lambda c: (
+            yb.cochains.add(real(c), plant) if c.degree == 1 else real(c))
+        try:
+            yb.quasidiagonal_representative(yb.identity_cochain(rack, 2, F3))
+        except yb.PostconditionError as err:
+            print(__debug__, "refused", err.witness)
+        else:
+            print(__debug__, "returned")
+    """)
+    src = Path(yb.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.split()[:2] == ["False", "refused"]
 
 
 def test_representative_checks_the_result_is_quasidiagonal(monkeypatch):
-    # with the homotopy switched off every level exchange holds trivially,
-    # so only the final check can catch the cocycle that never moved
+    # with the homotopy switched off the cocycle never moves and stays a
+    # cocycle, so only the quasi-diagonal check can catch it
     rack = yb.catalog.dihedral3()
     rng = np.random.default_rng(77)
     f = yb.coboundary(random_cochain(rack, 1, F3, rng))
     assert not f.is_quasidiagonal()
     monkeypatch.setattr(yb.homotopy, "insertion_homotopy",
                         lambda g, m: yb.zero_cochain(g.rack, g.degree - 1, g.ring))
-    monkeypatch.setattr(yb.homotopy, "level_projection", lambda g, m: g)
     with pytest.raises(yb.PostconditionError) as err:
         yb.quasidiagonal_representative(f)
     xs, ys = err.value.witness

@@ -137,18 +137,44 @@ def test_series_matrix_multiplication_truncates():
     assert ring.mat_eq(prod, ring.zeros(1, 1))
 
 
-def test_truncated_matrix_inverse():
+def test_truncated_matrix_inverse(monkeypatch):
+    for ring in (r for r in RINGS if r.is_truncated):
+        _check_truncated_inverse(ring, monkeypatch)
+
+
+def _check_truncated_inverse(ring, monkeypatch):
     rng = np.random.default_rng(2)
-    for spec in ("F3[h]/h^3", "Z/2^4"):
-        ring = yb.parse_ring(spec)
+    p = ring.p
+
+    def lift(residue):
+        mat = ring.from_int_matrix(residue)
+        for k in range(1, ring.order):
+            mat = ring.mat_add(mat, ring.lift_digit_matrix(rng.integers(0, p, size=(3, 3)), k))
+        return mat
+
+    def random_unit_residue():
+        # P L U with unit-triangular L and U of nonzero diagonal: invertible mod p
+        lower = np.tril(rng.integers(0, p, size=(3, 3)), -1) + np.eye(3, dtype=np.int64)
+        upper = np.triu(rng.integers(0, p, size=(3, 3)), 1) + np.diag(rng.integers(1, p, size=3))
+        return np.eye(3, dtype=np.int64)[rng.permutation(3)] @ lower @ upper % p
+
+    def assert_inverse(mat):
+        inv = ring.mat_inv(mat)
+        assert ring.mat_eq(ring.mat_mul(mat, inv), ring.eye(3))
+        assert ring.mat_eq(ring.mat_mul(inv, mat), ring.eye(3))
+
+    general = [lift(random_unit_residue()) for _ in range(20)]
+    assert any(np.any(ring.residue_matrix(m) != np.eye(3)) for m in general)
+    for mat in general:
+        assert_inverse(mat)
+    # residue I, as for every gauge transform: Newton starts at I, no elimination
+    with monkeypatch.context() as patch:
+        patch.setattr(yb.PrimeField, "mat_inv", lambda *_: pytest.fail("residue I eliminated"))
         for _ in range(20):
-            mat = ring.eye(3)
-            for k in range(1, ring.order):
-                mat = ring.mat_add(mat, ring.lift_digit_matrix(
-                    rng.integers(0, ring.p, size=(3, 3)), k))
-            inv = ring.mat_inv(mat)
-            assert ring.mat_eq(ring.mat_mul(mat, inv), ring.eye(3))
-            assert ring.mat_eq(ring.mat_mul(inv, mat), ring.eye(3))
+            assert_inverse(lift(np.eye(3, dtype=np.int64)))
+    singular = np.array([[1, 2, 0], [0, 1, 1], [1, 3, 1]])  # row 3 = row 1 + row 2
+    with pytest.raises(NotAUnitError):
+        ring.mat_inv(lift(singular))
 
 
 def test_first_difference_reports_lowest_order():

@@ -22,7 +22,7 @@ Coefficients: a prime field reduces entries mod p; rationals are handled
 with integer representatives (the complex maps are additive with unit
 coefficients, so integer cochains span the rational theory and no
 denominators ever arise outside of rank computations, whose RREF over Q
-:mod:`ybrack.linalg` reconstructs from residues and certifies exactly).
+:mod:`ybrack.linalg` reads off a fraction-free elimination over Z).
 A cochain over any other ring is refused with :class:`CoefficientError`.
 """
 

@@ -12,11 +12,10 @@ elimination path for every field:
 2. **Over F_p** a block is reduced mod p with int64 arithmetic, which is
    exact for p up to :data:`MAX_PRIME`; larger primes are refused.
 3. **Over Q** every row is first scaled by the lcm of its denominators
-   (same row space, same RREF).  A block is reduced mod 2^31 - 1, its
-   reduced rows are rebuilt by rational reconstruction, and the result is
-   certified in exact integer arithmetic (:func:`_certify`).  When the
-   reconstruction or the certificate fails, further primes are combined by
-   CRT; an uncertified RREF is never returned.
+   (same row space, same RREF), and a block is reduced fraction-free over Z
+   (:func:`ybrack.rings._rref_over_z`).  Integer row operations keep the
+   row space, so each reduced row divided by its pivot entry is the RREF
+   row exactly: there is nothing to certify.
 
 Pivoting is deterministic (the first nonzero entry of a column, in row
 order).
@@ -29,16 +28,13 @@ ring's layout enters through :meth:`ExactMatrix.from_grid`.
 
 from __future__ import annotations
 
-import functools
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .rings import (INT64_MAX, NotAFieldError, PrimeField, Rationals, Ring,
-                    SeriesRing, _is_prime, _rref_mod_p)
+from .rings import (NotAFieldError, PrimeField, Rationals, Ring, SeriesRing,
+                    _rref_mod_p, _rref_over_z, _scaled_rows)
 
 # The largest prime p whose elimination stays inside int64: every value it
 # forms lies within (p - 1)^2 + (p - 1) < 2^63.
@@ -51,10 +47,6 @@ class BlockSizeError(ValueError):
     def __init__(self, rows, cols):
         super().__init__(f"a connected {rows}x{cols} block exceeds the dense "
                          f"elimination limit of {BLOCK_CELL_LIMIT} cells")
-
-
-class CertificationError(ArithmeticError):
-    """No certified RREF over Q within the primes its Hadamard bound needs."""
 
 
 def _values(ring: Ring, values) -> np.ndarray:
@@ -164,22 +156,6 @@ def _require_field(ring: Ring):
 
 # -- blocks ----------------------------------------------------------------------
 
-def _scaled_rows(row: np.ndarray, values: list) -> np.ndarray:
-    """Rational entries as integers, each row scaled by the lcm of its
-    denominators: int64 when every value fits, else Python ints."""
-    nums = [v.numerator for v in values]
-    dens = [v.denominator for v in values]
-    if any(d != 1 for d in dens):
-        lcm: dict[int, int] = {}
-        for i, d in zip(row.tolist(), dens):
-            lcm[i] = math.lcm(lcm.get(i, 1), d)
-        nums = [n * (lcm[i] // d) for i, n, d in zip(row.tolist(), nums, dens)]
-    try:
-        return np.array(nums, dtype=np.int64)
-    except OverflowError:
-        return np.array(nums, dtype=object)
-
-
 def _components(u: np.ndarray, v: np.ndarray, nodes: int) -> np.ndarray:
     """Per node, the smallest node of its connected component (edges u-v).
 
@@ -229,123 +205,13 @@ def _blocks(mat: ExactMatrix):
 
 # -- elimination -----------------------------------------------------------------
 
-@functools.cache
-def _prime(k: int) -> int:
-    """The k-th elimination prime over Q: 2^31 - 1, then the primes from
-    MAX_PRIME downwards."""
-    if k < 2:
-        return (2**31 - 1, MAX_PRIME)[k]
-    n = _prime(k - 1) - 2
-    while not _is_prime(n):
-        n -= 2
-    return n
-
-
-def _prime_budget(grid: np.ndarray) -> int:
-    """Primes within which a certified RREF must be found.
-
-    Each RREF entry is a ratio of two r x r minors, and every minor is at
-    most H (Hadamard: the product of the r largest row norms).  A prime that
-    gives the wrong pivots divides a nonzero minor, and once the good primes
-    multiply past 2 H^2 reconstruction is exact; every prime exceeds 2^30.
-    """
-    wide = grid.dtype == object or int(np.abs(grid).max()) ** 2 * grid.shape[1] > INT64_MAX
-    norms = ((grid.astype(object) if wide else grid) ** 2).sum(axis=1).tolist()
-    largest = sorted(norms, reverse=True)[:min(grid.shape)]
-    h = math.isqrt(math.prod(max(v, 1) for v in largest)) + 1
-    return -(-h.bit_length() // 30) - (-(2 * h * h).bit_length() // 30) + 1
-
-
-def _crt(residues: np.ndarray, modulus: int, new: np.ndarray, p: int) -> np.ndarray:
-    """The residues mod modulus * p agreeing with both inputs."""
-    residues = residues.astype(object)
-    step = (new.astype(object) - residues) * pow(modulus % p, -1, p) % p
-    return residues + modulus * step
-
-
-def _reconstruct(residues: np.ndarray, modulus: int):
-    """Rational reconstruction (Wang): per entry the a/b with a = b u mod m
-    and |a|, b <= sqrt(m/2), as (numerators, denominators); None when some
-    entry has no such fraction.  Entries u <= sqrt(m/2) are u/1 already."""
-    bound = math.isqrt(modulus // 2)
-    dtype = np.int64 if modulus < 2**62 else object
-    num = residues.astype(dtype).reshape(-1)
-    den = np.ones_like(num)
-    todo = np.flatnonzero(num > bound)
-    r0, r1 = np.full(todo.size, modulus, dtype=dtype), num[todo]
-    s0, s1 = np.zeros(todo.size, dtype=dtype), np.ones(todo.size, dtype=dtype)
-    while True:  # extended Euclid on (m, u) until the remainder drops to the bound
-        act = r1 > bound
-        if not act.any():
-            break
-        q = r0[act] // r1[act]
-        r0[act], r1[act] = r1[act], r0[act] - q * r1[act]
-        s0[act], s1[act] = s1[act], s0[act] - q * s1[act]
-    sign = np.where(s1 < 0, -1, 1)
-    num[todo], den[todo] = r1 * sign, s1 * sign
-    if np.any(den > bound):
-        return None
-    return num.reshape(residues.shape), den.reshape(residues.shape)
-
-
-def _certify(grid: np.ndarray, pivots: list, num: np.ndarray, den: np.ndarray) -> bool:
-    """True iff R = num/den is the RREF over Q of the integer grid M.
-
-    ``pivots`` come from an elimination mod a prime, so rank M >= r.  The
-    check is exact: R is zero left of each pivot, and L M = M[:, P] (L R)
-    with L the lcm of the denominators.  That identity gives rank M <= r,
-    so M[:, P] has full column rank, R[:, P] = I and R spans the row space
-    of M: R is the canonical RREF.  The integer arithmetic is int64 when a
-    bound on every partial sum fits, else Python ints.
-    """
-    r, n = num.shape
-    if np.any(num[np.arange(n)[None, :] < np.asarray(pivots, dtype=np.int64)[:, None]]):
-        return False
-    lcm = math.lcm(*set(den.reshape(-1).tolist()))
-    amax = max(int(grid.max()), -int(grid.min()))
-    bound = lcm * amax * (1 + r * int(np.abs(num).max(initial=0)))
-    dtype = np.int64 if bound <= INT64_MAX else object
-    a = grid.astype(dtype, copy=False)
-    scaled = num.astype(dtype) * (lcm // den.astype(dtype))
-    resid = a * lcm
-    for k, c in enumerate(pivots):
-        hit = a[:, c].nonzero()[0]
-        resid[hit] -= a[hit, c, None] * scaled[k]
-    return not resid.any()
-
-
-def _rational_rref(grid: np.ndarray):
-    """Certified RREF over Q of an integer grid: (pivots, numerators,
-    denominators) of its reduced rows."""
-    best = residues = budget = None
-    modulus = 1
-    for k in itertools.count():
-        if k == 1:  # the first prime did not certify
-            budget = _prime_budget(grid)
-        if k and k >= budget:
-            raise CertificationError(f"no certified RREF of a {grid.shape[0]}x"
-                                     f"{grid.shape[1]} block after {k} primes")
-        p = _prime(k)
-        rows, pivots = _rref_mod_p(np.asarray(grid % p, dtype=np.int64), p)
-        rows = rows[:len(pivots)].copy()  # lets the full reduced grid go
-        # more pivots, or as many but earlier ones: every earlier prime was bad
-        if best is None or (len(pivots), best) > (len(best), pivots):
-            best, residues, modulus = pivots, rows, p
-        elif pivots == best:
-            residues, modulus = _crt(residues, modulus, rows, p), modulus * p
-        else:
-            continue
-        rebuilt = _reconstruct(residues, modulus)
-        if rebuilt is not None and _certify(grid, best, *rebuilt):
-            return best, *rebuilt
-
-
 @dataclass(frozen=True)
 class _Reduced:
     """A canonical RREF: its pivot columns (ascending) and each nonzero
     entry of its rows outside the pivot columns, as the pivot column of the
-    entry's row, the entry's column and its value num / den (den is None
-    over F_p, where num holds residues)."""
+    entry's row, the entry's column and its value num / den.  Over Q, num
+    is the entry of the integer reduced row and den that row's pivot entry;
+    den is None over F_p, where num holds residues."""
 
     pivots: list
     at_pivot: np.ndarray
@@ -368,9 +234,9 @@ def _reduced_form(mat: ExactMatrix) -> _Reduced:
     for cols, grid in _blocks(mat):
         if isinstance(ring, PrimeField):
             reduced, pivots = _rref_mod_p(grid, ring.p)
-            num, den = reduced[:len(pivots)], None
         else:
-            pivots, num, den = _rational_rref(grid)
+            reduced, pivots = _rref_over_z(grid)
+        num = reduced[:len(pivots)]
         if not pivots:
             continue
         i, j = np.nonzero(num)
@@ -379,7 +245,7 @@ def _reduced_form(mat: ExactMatrix) -> _Reduced:
         keep = ~is_pivot[j]
         i, j = i[keep], j[keep]
         parts.append((cols[pivots], cols[pivots][i], cols[j], num[i, j],
-                      None if den is None else den[i, j]))
+                      None if isinstance(ring, PrimeField) else num[i, np.array(pivots)[i]]))
     if not parts:
         empty = np.zeros(0, dtype=np.int64)
         return _Reduced([], empty, empty, empty, None)
@@ -419,6 +285,9 @@ def rank_and_solve(mat: ExactMatrix, rhs) -> tuple[int, list | None]:
     none), both from one elimination of the augmented matrix [M | rhs]."""
     ring = mat.ring
     _require_field(ring)
+    rhs = list(rhs)
+    if len(rhs) != mat.rows:
+        raise ValueError(f"rhs has length {len(rhs)}, but the matrix has {mat.rows} rows")
     aug = ExactMatrix.from_coordinates(
         ring, mat.rows, mat.cols + 1,
         list(((i, j, v) for (i, j), v in mat.nonzero_items()))
@@ -464,12 +333,17 @@ def dump_matrix(mat: ExactMatrix) -> str:
 def load_matrix(text: str, ring: Ring) -> ExactMatrix:
     """Read a dump over ``ring``, refusing a header written for another modulus."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    rows, cols, modulus = lines[0].split()
-    rows, cols, modulus = int(rows), int(cols), int(modulus)
+    header = lines[0].split() if lines else []
+    if len(header) != 3:
+        raise ValueError("a matrix dump starts with the header line 'rows cols modulus'")
+    rows, cols, modulus = map(int, header)
     if modulus != _modulus_field(ring):
         raise ValueError(f"dump header modulus {modulus} does not match ring {ring!r}")
     triples = []
     for ln in lines[1:]:
         i, j, value = ln.split(None, 2)
-        triples.append((int(i), int(j), ring.scalar_parse(value)))
+        i, j = int(i), int(j)
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"dump entry {ln.strip()!r} lies outside {rows}x{cols}")
+        triples.append((i, j, ring.scalar_parse(value)))
     return ExactMatrix.from_coordinates(ring, rows, cols, triples)

@@ -319,8 +319,10 @@ def dump_rack(rack: RackTable) -> str:
 
 def load_rack(text: str) -> RackTable:
     record = json.loads(text)
-    table = record["table"]
-    if len(table) != record["size"]:
+    table = record.get("table") if isinstance(record, dict) else None
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise ValueError("a rack file holds a JSON object whose 'table' is a list of rows")
+    if len(table) != record.get("size"):
         raise ValueError("size field does not match the table")
     rack = validate(table)
     if bool(record.get("quandle")) != rack.quandle:

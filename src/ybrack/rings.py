@@ -88,38 +88,105 @@ def _convolve(a, b, modulus: int):
     return out
 
 
-def _rref_mod_p(a: np.ndarray, p: int):
-    """RREF mod p of an int64 grid of residues, which it reduces in place
-    (the caller passes a grid it owns); returns (the grid, pivot columns).
-
-    This is the one elimination over F_p: ``linalg`` reduces every block with
-    it and ``PrimeField.mat_inv`` reads inverses off it.  Every value it forms
-    lies within (p - 1)^2 + (p - 1), so it is exact for p up to 3037000493.
-    A pivot row only changes the other rows in the columns where it is
-    nonzero, so each step updates just those cells.
-    """
+def _rref(a: np.ndarray, step):
+    """The Gauss-Jordan loop of both eliminations; returns (the grid, pivot
+    columns).  Per column c, the first row at or below the next pivot row r
+    that is nonzero in c (row order) is swapped into row r, and
+    ``step(a, r, c, others)`` clears c from the other nonzero rows and
+    returns the grid, which it may replace."""
     rows, cols = a.shape
     pivots = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         hit = a[:, c].nonzero()[0]
         k = hit.searchsorted(r)
         if k == hit.size:
             continue
-        piv = hit[k]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        others = hit[hit != piv, None]  # after the swap, the rows to clear
+        if hit[k] != r:
+            a[[r, hit[k]]] = a[[hit[k], r]]
+        a = step(a, r, c, hit[hit != hit[k]])
+        pivots.append(c)
+    return a, pivots
+
+
+def _rref_mod_p(a: np.ndarray, p: int):
+    """RREF mod p of an int64 grid of residues, which it reduces in place
+    (the caller passes a grid it owns); returns (the grid, pivot columns).
+
+    This is one of the two eliminations: over F_p ``linalg`` reduces every
+    block with it and ``PrimeField.mat_inv`` reads inverses off it, while
+    over Q both ``linalg`` and ``Rationals.mat_inv`` read the integer rows of
+    :func:`_rref_over_z`.  Every value it forms lies within (p - 1)^2 +
+    (p - 1), so it is exact for p up to 3037000493.  A pivot row only
+    changes the other rows in the columns where it is nonzero, so each step
+    updates just those cells.
+    """
+    def step(a, r, c, others):
         support = c + a[r, c:].nonzero()[0]
         prow = a[r, support] * pow(int(a[r, c]), -1, p) % p
         a[r, support] = prow
         if others.size:
+            others = others[:, None]
             a[others, support] = (a[others, support] - a[others, c] * prow) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        return a
+    return _rref(a, step)
+
+
+def _scaled_rows(row: np.ndarray, values: list) -> np.ndarray:
+    """Rational entries as integers, each row scaled by the lcm of its
+    denominators (``row`` gives each value's row): int64 when every value
+    fits, else Python ints."""
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    if any(d != 1 for d in dens):
+        lcm: dict[int, int] = {}
+        for i, d in zip(row.tolist(), dens):
+            lcm[i] = math.lcm(lcm.get(i, 1), d)
+        nums = [n * (lcm[i] // d) for i, n, d in zip(row.tolist(), nums, dens)]
+    try:
+        return np.array(nums, dtype=np.int64)
+    except OverflowError:
+        return np.array(nums, dtype=object)
+
+
+def _magnitude(x: np.ndarray) -> int:
+    return max(int(x.max()), -int(x.min())) if x.size else 0
+
+
+def _rref_over_z(a: np.ndarray):
+    """Fraction-free Gauss-Jordan of an integer grid (int64 or Python ints),
+    which it reduces in place; returns (the grid, pivot columns).
+
+    It runs the loop and pivot rule of :func:`_rref`, as :func:`_rref_mod_p`
+    does.  Row operations over Z keep the row space over Q, so row k divided by
+    its pivot entry, which is made positive, is row k of the RREF over Q.  A
+    pivot of 1 clears its column from the other rows within its own support;
+    any other pivot v turns each such row into row * v - f * (pivot row) and
+    divides it by its content, the gcd of its entries.  A step runs in int64
+    only when its operands bound every value it forms below 2^63; otherwise
+    the grid becomes Python ints from that step on.
+    """
+    def step(a, r, c, others):
+        pv = int(a[r, c])
+        span = c + a[r, c:].nonzero()[0] if abs(pv) == 1 else np.arange(a.shape[1])
+        others = others[:, None]
+        prow, sub = a[r, span], a[others, span]
+        bound = _magnitude(prow)
+        if a.dtype != object and max(bound, _magnitude(sub) * (abs(pv) + bound)) > INT64_MAX:
+            a = a.astype(object)
+            prow, sub = a[r, span], a[others, span]
+        if pv < 0:
+            prow = a[r, span] = -prow
+            pv = -pv
+        if pv == 1:
+            a[others, span] = sub - a[others, c] * prow
+        elif others.size:
+            new = sub * pv - a[others, c] * prow
+            a[others, span] = new // np.maximum(np.gcd.reduce(new, axis=1, keepdims=True), 1)
+        return a
+    return _rref(a, step)
 
 
 def _is_prime(n: int) -> bool:
@@ -311,23 +378,13 @@ class Rationals(Ring):
         return Fraction(text)
 
     def zeros(self, rows, cols):
-        mat = np.empty((rows, cols), dtype=object)
-        mat[:] = Fraction(0)
-        return mat
+        return self.from_int_matrix(np.zeros((rows, cols), dtype=np.int64))
 
     def eye(self, n):
-        mat = self.zeros(n, n)
-        for i in range(n):
-            mat[i, i] = Fraction(1)
-        return mat
+        return self.from_int_matrix(np.eye(n, dtype=np.int64))
 
     def from_int_matrix(self, entries):
-        grid = _as_int_grid(entries)
-        mat = np.empty(grid.shape, dtype=object)
-        for i in range(grid.shape[0]):
-            for j in range(grid.shape[1]):
-                mat[i, j] = Fraction(int(grid[i, j]))
-        return mat
+        return np.frompyfunc(Fraction, 1, 1)(_as_int_grid(entries).astype(object))
 
     def shape(self, mat):
         return mat.shape
@@ -349,12 +406,8 @@ class Rationals(Ring):
         return np.kron(a, b)
 
     def first_difference(self, a, b):
-        rows, cols = a.shape
-        for i in range(rows):
-            for j in range(cols):
-                if a[i, j] != b[i, j]:
-                    return i, j
-        return None
+        hits = np.argwhere(a != b)
+        return tuple(map(int, hits[0])) if hits.size else None
 
     def mat_entry(self, mat, i, j):
         return mat[i, j]
@@ -363,27 +416,17 @@ class Rationals(Ring):
         mat[i, j] = self._coerce(value)
 
     def mat_inv(self, mat):
-        """Gauss-Jordan on ``Fraction`` rows.  The certified elimination over Q
-        lives in ``linalg``, which imports this module, so it cannot serve here."""
+        """The right block of the RREF of [A | I], when its pivots are 0..n-1:
+        ``_rref_over_z`` reduces [A | I] with each row scaled to integers, and
+        a reduced row over its pivot entry is the RREF row."""
         n = mat.shape[0]
-        aug = [[Fraction(mat[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise NotAUnitError(mat)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = 1 / aug[col][col]
-            aug[col] = [scale * v for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-        out = self.zeros(n, n)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = aug[i][n + j]
-        return out
+        aug = np.concatenate([mat, self.eye(n)], axis=1)
+        grid = _scaled_rows(np.repeat(np.arange(n), 2 * n), aug.reshape(-1).tolist())
+        reduced, pivots = _rref_over_z(grid.reshape(n, 2 * n))
+        if pivots != list(range(n)):
+            raise NotAUnitError(mat)
+        return np.frompyfunc(Fraction, 2, 1)(reduced[:, n:].astype(object),
+                                              reduced.diagonal().astype(object)[:, None])
 
 
 class _TruncatedRing(Ring):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ybrack as yb
 from ybrack.cli import main
 
@@ -36,6 +38,26 @@ def test_validate_corrupted_table(capsys, tmp_path):
     code, out, _ = run_cli(["validate", str(path)], capsys)
     assert code == 1
     assert "Q2" in out
+
+
+@pytest.mark.parametrize("command", [["validate"], ["cohomology", "--degree", "2"]])
+def test_a_rack_file_that_is_not_an_object_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "list.rack"
+    path.write_text("[1, 2]\n")
+    code, _, err = run_cli([command[0], str(path), *command[1:]], capsys)
+    assert code == 2 and "'table' is a list of rows" in err
+
+
+@pytest.mark.parametrize("dump, message", [
+    ("F3[h]/h^2\n", "header line 'rows cols modulus'"),
+    ("F3[h]/h^2\n2 2 3\n5 5 1,0\n", "'5 5 1,0' lies outside 2x2"),
+])
+def test_a_malformed_operator_dump_exits_2(capsys, tmp_path, dump, message):
+    path = tmp_path / "operator.txt"
+    path.write_text(dump)
+    code, _, err = run_cli(["quasidiagonalize", str(DATA / "quandle3.rack"),
+                            "--ring", "F3[h]/h^2", "--input", str(path)], capsys)
+    assert code == 2 and message in err
 
 
 def test_validate_missing_file(capsys):

@@ -56,28 +56,35 @@ def test_a_ring_is_its_spec():
             assert a != b and b != a
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, "Q"])
 def test_prime_field_inverse_matches_the_longhand_rref(p):
-    field = yb.PrimeField(p)
-    rng = np.random.default_rng(p)
+    # over Q the entries are fractions, which mat_inv scales to integers per row
+    field = yb.Rationals() if p == "Q" else yb.PrimeField(p)
+    rng = np.random.default_rng(3 if p == "Q" else p)
     inverted = singular = 0
     for _ in range(60):
         n = int(rng.integers(1, 7))
-        mat = rng.integers(0, p, size=(n, n))
+        if p == "Q":
+            dens = rng.integers(1, 4, size=(n, n))
+            mat = field.from_int_matrix(rng.integers(-2, 3, size=(n, n))) / dens
+        else:
+            mat = rng.integers(0, p, size=(n, n))
         pivots, reduced = rref_longhand(
-            [row + [int(i == j) for j in range(n)] for i, row in enumerate(mat.tolist())], field)
+            [row + [field.from_int(int(i == j)) for j in range(n)]
+             for i, row in enumerate(mat.tolist())], field)
         if pivots[:n] != list(range(n)):
             with pytest.raises(NotAUnitError):
                 field.mat_inv(mat)
             singular += 1
             continue
-        want = [[reduced[i].get(n + j, 0) for j in range(n)] for i in range(n)]
-        assert field.mat_inv(mat).tolist() == want
+        want = [[reduced[i].get(n + j, field.zero()) for j in range(n)] for i in range(n)]
+        got = field.mat_inv(mat).tolist()
+        assert got == want and {type(v) for row in got for v in row} <= {type(field.zero())}
         inverted += 1
     assert inverted and singular
 
 
-@pytest.mark.parametrize("spec", ["F5", "F3[h]/h^3", "Z/3^2"])
+@pytest.mark.parametrize("spec", ["F5", "F3[h]/h^3", "Z/3^2", "Q"])
 def test_a_singular_residue_is_not_a_unit(spec):
     ring = yb.parse_ring(spec)
     mat = ring.from_int_matrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]])  # row 2 = 2 row 1

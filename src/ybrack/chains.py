@@ -16,35 +16,22 @@ grid over the input pairs, and the classes of a summand add up in int64
 into the full input grid.  As for cochains, the input is reduced once over
 F_p and range-checked over Q before anything is summed.  The pairing
 <f | g> = tr(f g) = sum f[x, y] g[y, x] intertwines the two complexes.
+A chain is checked by the same base as a cochain, but it is not one.
 Degree-0 chains are scalars.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .indexing import encode_tuple
 from .racks import RackTable
 from .rings import INT64_MAX, Ring
-from .cochains import (Cochain, _modulus, _reduce, _summable, _summands, cochain_from_entries,
-                       dump_cochain)
+from .cochains import (Cochain, _CoefficientArray, _modulus, _reduce, _summable, _summands,
+                       cochain_from_entries, dump_cochain)
 
 
-@dataclass(frozen=True)
-class Chain:
-    rack: RackTable
-    degree: int
-    ring: Ring
-    values: np.ndarray
-
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
-    def entry(self, xs, ys):
-        q = self.rack.size
-        return self.values[encode_tuple(q, xs), encode_tuple(q, ys)]
+class Chain(_CoefficientArray):
+    """A degree-n chain, values[xcode, ycode]."""
 
     @property
     def scalar(self):

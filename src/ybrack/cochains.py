@@ -16,18 +16,22 @@ no gather, in cache-sized chunks of classes.  Over F_p the input is reduced
 first; d_i writes its first summand and subtracts the second, adding p back
 where that goes negative, and d reduces its grid once, in place.  Over Q a
 sum that could leave int64 raises ``OverflowError``.  The matrix of d^n is
-the same incidence as coordinates.
+the same incidence as coordinates.  The rack complex is its diagonal: it
+walks the same key classes at positions 1..n, slot s reading entry s.
 
 Coefficients: a prime field reduces entries mod p; rationals are handled
 with integer representatives (the complex maps are additive with unit
 coefficients, so integer cochains span the rational theory and no
 denominators ever arise outside of rank computations, whose RREF over Q
 :mod:`ybrack.linalg` reads off a fraction-free elimination over Z).
-A cochain over any other ring is refused with :class:`CoefficientError`.
+``Cochain``, ``RackCochain`` and ``chains.Chain`` share one frozen base
+that checks a field ring (else :class:`CoefficientError`), an int64 array
+and its shape once; tuples and entries are checked where they are read.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,32 +109,51 @@ def _summable(values: np.ndarray, ring: Ring, terms: int) -> np.ndarray:
     return values
 
 
+def _tuple_code(rack: RackTable, degree: int, tup) -> int:
+    """The code of a ``degree``-tuple over ``rack``; any other tuple is refused."""
+    if len(tup) != degree or not all(0 <= x < rack.size for x in tup):
+        raise ValueError(f"{tup} is not a {degree}-tuple of elements 0..{rack.size - 1}")
+    return encode_tuple(rack.size, tup)
+
+
+def _integer(value) -> int:
+    """The integer a coefficient stands for; floats and non-integral fractions are refused."""
+    if isinstance(value, numbers.Rational) and value.denominator == 1:
+        return int(value)
+    raise ValueError(f"coefficient {value!r} is not an exact integer")
+
+
 @dataclass(frozen=True)
-class Cochain:
-    """An exact matrix-valued cochain f[xcode, ycode]."""
+class _CoefficientArray:
+    """int64 coefficients with ``axes`` axes of length q^degree over a field."""
 
     rack: RackTable
     degree: int
     ring: Ring
     values: np.ndarray
 
+    axes = 2
+
     def __post_init__(self):
         _modulus(self.ring)  # refuses coefficient rings that are not fields
-        expected = self.rack.size**self.degree
-        if self.values.shape != (expected, expected):
-            raise ValueError(f"values have shape {self.values.shape}, "
-                             f"expected {(expected, expected)}")
+        if not isinstance(self.values, np.ndarray) or self.values.dtype != np.int64:
+            raise TypeError(f"values must be an int64 array, "
+                            f"got {getattr(self.values, 'dtype', type(self.values))}")
+        expected = (self.rack.size**self.degree,) * self.axes
+        if self.values.shape != expected:
+            raise ValueError(f"values have shape {self.values.shape}, expected {expected}")
 
-    @property
-    def side(self) -> int:
-        return self.rack.size**self.degree
-
-    def entry(self, xs, ys):
-        q = self.rack.size
-        return self.values[encode_tuple(q, xs), encode_tuple(q, ys)]
+    def entry(self, *tuples):
+        if len(tuples) != self.axes:
+            raise TypeError(f"an entry is read at {self.axes} tuples, got {len(tuples)}")
+        return self.values[tuple(_tuple_code(self.rack, self.degree, t) for t in tuples)]
 
     def is_zero(self) -> bool:
         return not np.any(self.values)
+
+
+class Cochain(_CoefficientArray):
+    """An exact matrix-valued cochain f[xcode, ycode]."""
 
     def is_diagonal(self) -> bool:
         return self._zero_off("diagonal")
@@ -152,13 +175,12 @@ def zero_cochain(rack: RackTable, degree: int, ring: Ring) -> Cochain:
 
 
 def cochain_from_entries(rack: RackTable, degree: int, ring: Ring, entries) -> Cochain:
-    """Build from {(x-tuple, y-tuple): value} or a dense array."""
-    if isinstance(entries, np.ndarray):
-        return Cochain(rack, degree, ring, _reduce(entries.astype(np.int64), ring))
+    """Build from {(x-tuple, y-tuple): value} or a dense integer array."""
+    if isinstance(entries, np.ndarray):  # a safe cast refuses floats and uint64
+        return Cochain(rack, degree, ring, _reduce(entries.astype(np.int64, casting="safe"), ring))
     values = zero_cochain(rack, degree, ring).values
-    q = rack.size
     for (xs, ys), v in entries.items():
-        values[encode_tuple(q, xs), encode_tuple(q, ys)] = v
+        values[_tuple_code(rack, degree, xs), _tuple_code(rack, degree, ys)] = _integer(v)
     return Cochain(rack, degree, ring, _reduce(values, ring))
 
 
@@ -196,7 +218,7 @@ def _summands(rack: RackTable, length: int, i: int):
     summand's) go in chunks of about ``CHUNK_PAIRS`` pairs, so the whole drop
     summand comes first, and small degrees take one chunk."""
     q = rack.size
-    members = position_data(rack, length, i).members.reshape(2 * q, -1)
+    members = position_data(rack, length, i).reshape(2 * q, -1)
     side_in = members.shape[1]
     per = max(CHUNK_PAIRS // side_in**2, 1)
     for lo in range(0, 2 * q, per):
@@ -257,7 +279,7 @@ def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
     if out_dim > MATRIX_ENTRY_CAP:
         raise SizeGuardError(out_dim, MATRIX_ENTRY_CAP)
     in_dim = q ** (2 * degree)
-    members = [position_data(rack, degree + 1, i).members for i in range(degree + 1)]
+    members = [position_data(rack, degree + 1, i) for i in range(degree + 1)]
     rows = _pair_codes(np.stack(members), q ** (degree + 1))
     cols = np.tile(np.arange(in_dim), rows.size // in_dim)  # slot pairs are input pairs
     # summand s of position i enters with sign (-1)^(i+s)
@@ -283,10 +305,11 @@ def cochain_to_vector(f: Cochain) -> list:
 
 
 def vector_to_cochain(rack: RackTable, degree: int, ring: Ring, vec) -> Cochain:
+    """The inverse of :func:`cochain_to_vector`; a vector of another length is refused."""
     side = rack.size**degree
-    grid = np.zeros((side, side), dtype=np.int64)
-    for code, v in enumerate(vec):
-        grid[code // side, code % side] = int(v)
+    if len(vec) != side * side:
+        raise ValueError(f"a degree-{degree} cochain has {side * side} entries, got {len(vec)}")
+    grid = np.array([_integer(v) for v in vec], dtype=np.int64).reshape(side, side)
     return Cochain(rack, degree, ring, _reduce(grid, ring))
 
 
@@ -328,42 +351,42 @@ def cohomology_dim(rack: RackTable, ring: Ring, degree: int,
 
 # -- rack cochain complex ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class RackCochain:
+class RackCochain(_CoefficientArray):
     """A map Q^degree -> coefficients, stored as values[tuplecode]."""
 
-    rack: RackTable
-    degree: int
-    ring: Ring
-    values: np.ndarray
+    axes = 1
 
-    def entry(self, xs):
-        return self.values[encode_tuple(self.rack.size, xs)]
 
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
+def _rack_summands(rack: RackTable, length: int):
+    """Yield (sign, classes) for the drop and conj summands of the rack
+    coboundary into ``length``-tuples, slot s of each class reading input s:
+    the diagonal slots of the Yang-Baxter summands at positions 1..length-1
+    (at position 0 the two summands cancel on the diagonal)."""
+    for i in range(1, length):
+        classes = position_data(rack, length, i)
+        yield (-1) ** i, classes[0]
+        yield -(-1) ** i, classes[1]
 
 
 def rack_coboundary(lam: RackCochain) -> RackCochain:
     """Alternating sum over i = 1..n of lam(drop i) - lam(conjugate prefix, drop i)."""
     n = lam.degree
-    size = lam.rack.size ** (n + 1)
-    total = np.zeros(size, dtype=np.int64)
-    for i in range(1, n + 1):
-        data = position_data(lam.rack, n + 1, i)
-        term = lam.values[data.drop] - lam.values[data.conj]
-        total += -term if i % 2 else term
+    values = _summable(lam.values, lam.ring, 2 * n)
+    total = np.zeros(lam.rack.size ** (n + 1), dtype=np.int64)
+    for sign, classes in _rack_summands(lam.rack, n + 1):
+        total[classes] += sign * values
     return RackCochain(lam.rack, n + 1, lam.ring, _reduce(total, lam.ring))
 
 
 def rack_coboundary_matrix(rack: RackTable, ring: Ring, degree: int) -> ExactMatrix:
+    """Sparse matrix of the rack coboundary on degree-n cochains: row
+    classes[k, s] meets column s once per summand, with the summand's sign."""
     q = rack.size
-    rows = q ** (degree + 1)
-    data = [position_data(rack, degree + 1, i) for i in range(1, degree + 1)]
-    cols = np.array([(d.drop, d.conj) for d in data], dtype=np.int64)
-    signs = np.array([((-1) ** i, -(-1) ** i) for i in range(1, degree + 1)], dtype=np.int64)
-    return ExactMatrix.from_coo(ring, rows, q**degree, np.tile(np.arange(rows), 2 * degree),
-                                cols.reshape(-1), np.repeat(signs.reshape(-1), rows))
+    summands = list(_rack_summands(rack, degree + 1))
+    rows = np.array([classes for _, classes in summands], dtype=np.int64).reshape(-1)
+    cols = np.tile(np.arange(q**degree), 2 * degree * q)
+    signs = np.repeat([sign for sign, _ in summands], q ** (degree + 1))
+    return ExactMatrix.from_coo(ring, q ** (degree + 1), q**degree, rows, cols, signs)
 
 
 def rack_cohomology_dim(rack: RackTable, ring: Ring, degree: int) -> int:
@@ -377,16 +400,11 @@ def rack_cohomology_dim(rack: RackTable, ring: Ring, degree: int) -> int:
 
 def diagonal_part(f: Cochain) -> RackCochain:
     """The identification of a diagonal cochain with a rack cochain."""
-    side = f.side
-    diag = f.values[np.arange(side), np.arange(side)]
-    return RackCochain(f.rack, f.degree, f.ring, diag.copy())
+    return RackCochain(f.rack, f.degree, f.ring, f.values.diagonal().copy())
 
 
 def from_rack_cochain(lam: RackCochain) -> Cochain:
-    side = lam.rack.size**lam.degree
-    grid = np.zeros((side, side), dtype=np.int64)
-    grid[np.arange(side), np.arange(side)] = lam.values
-    return Cochain(lam.rack, lam.degree, lam.ring, grid)
+    return Cochain(lam.rack, lam.degree, lam.ring, np.diag(lam.values))
 
 
 # -- entropic cochains and equivariance --------------------------------------------

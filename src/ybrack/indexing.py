@@ -2,40 +2,31 @@
 
 Tuples over a rack of size q are encoded big-endian: the tuple
 (x_0, ..., x_{L-1}) has code sum x_j q^(L-1-j), so lexicographic order on
-tuples is numeric order on codes.  For each tuple position the maps needed
-by the two summands of a partial (co)boundary are tabulated once per
-(rack, length, position) and cached:
+tuples is numeric order on codes.  Deleting position j of a length-L tuple
+is read two ways by a partial (co)boundary:
 
-* ``drop``    -- code of the tuple with that position deleted
-* ``conj``    -- code of the tuple where every earlier coordinate is acted on
-                 by the deleted one: (x_0^{x_j}, ..., x_{j-1}^{x_j}, x_{j+1}, ...)
-* ``members`` -- shape (2, q, q^(L-1)): the tuples grouped by the key of the
-                 drop summand (row 0: the deleted coordinate pushed through
-                 the later ones, x_j^{x_{j+1} ... x_{L-1}}), in ``drop``
-                 order, and of the conj summand (row 1: the deleted
-                 coordinate itself), in ``conj`` order
+* the drop summand keeps the tuple with x_j deleted, and keys it by x_j
+  pushed through the later coordinates, x_j^{x_{j+1} ... x_{L-1}};
+* the conj summand acts on every earlier coordinate by x_j first,
+  (x_0^{x_j}, ..., x_{j-1}^{x_j}, x_{j+1}, ...), and keys it by x_j itself.
 
-A summand pairs two tuples exactly when their keys agree, so it reaches the
-pairs within one key class, 1/q of all pairs, and slot s of every class has
-source tuple s.  Each slot holds one tuple because right translations are
-permutations (Q2, see ``validate``); a table that breaks Q2 is refused.
+:func:`position_data` tabulates the tuples grouped by key, once per (rack,
+length, position), in one array of shape (2, q, q^(L-1)): row 0 holds the
+drop summand's key classes, row 1 the conj summand's, and slot s of every
+class the tuple whose source, the shortened tuple, has code s.  A summand
+pairs two tuples exactly when their keys agree, so it reaches the pairs
+within one key class, 1/q of all pairs.  Each slot holds one tuple because
+right translations are permutations (Q2, see ``validate``); a table that
+breaks Q2 is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .racks import RackAxiomError, RackTable, behavior_partition
-
-
-@dataclass(frozen=True)
-class PositionData:
-    drop: np.ndarray
-    conj: np.ndarray
-    members: np.ndarray
 
 
 def tuple_coordinates(q: int, length: int) -> list[np.ndarray]:
@@ -56,23 +47,21 @@ def encode_tuple(q: int, tup) -> int:
 
 
 @lru_cache(maxsize=None)
-def position_data(rack: RackTable, length: int, position: int) -> PositionData:
+def position_data(rack: RackTable, length: int, position: int) -> np.ndarray:
+    """The read-only key classes of position ``position`` in ``length``-tuples."""
     q = rack.size
     table = np.asarray(rack.table, dtype=np.int64)
     coords = tuple_coordinates(q, length)
     codes = np.arange(q**length, dtype=np.int64)
     j = position
 
-    hi = codes // q ** (length - j)
     lo = codes % q ** (length - 1 - j)
-    drop = hi * q ** (length - 1 - j) + lo
-
-    conj = np.zeros_like(codes)
+    drop = codes // q ** (length - j) * q ** (length - 1 - j) + lo
+    conj = lo
     for a in range(j):
-        conj += table[coords[a], coords[j]] * q ** (length - 2 - a)
-    conj += lo
+        conj = conj + table[coords[a], coords[j]] * q ** (length - 2 - a)
 
-    act = coords[j].copy()
+    act = coords[j]
     for a in range(j + 1, length):
         act = table[act, coords[a]]
     members = np.full((2, q, q ** (length - 1)), -1, dtype=np.int64)
@@ -82,9 +71,8 @@ def position_data(rack: RackTable, length: int, position: int) -> PositionData:
         summand, key, slot = np.argwhere(members < 0)[0].tolist()
         raise RackAxiomError("Q2", f"position {j}, {('drop', 'conj')[summand]} summand, key class "
                              f"{key}", f"no length-{length} tuple has source {slot} there")
-    for arr in (drop, conj, members):
-        arr.setflags(write=False)
-    return PositionData(drop=drop, conj=conj, members=members)
+    members.setflags(write=False)
+    return members
 
 
 @lru_cache(maxsize=None)

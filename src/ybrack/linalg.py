@@ -337,6 +337,8 @@ def load_matrix(text: str, ring: Ring) -> ExactMatrix:
     if len(header) != 3:
         raise ValueError("a matrix dump starts with the header line 'rows cols modulus'")
     rows, cols, modulus = map(int, header)
+    if rows < 0 or cols < 0:
+        raise ValueError(f"dump header gives negative dimensions {rows}x{cols}")
     if modulus != _modulus_field(ring):
         raise ValueError(f"dump header modulus {modulus} does not match ring {ring!r}")
     triples = []

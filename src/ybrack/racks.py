@@ -11,6 +11,7 @@ RackTable and everything derived from it are immutable.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,6 +67,8 @@ def validate(table, require_quandle: bool = False) -> RackTable:
         raise ValueError("rack must have at least one element")
     rows = []
     for x, row in enumerate(table):
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in row):
+            raise ValueError(f"row {x} has entries that are not integers: {list(row)}")
         row = tuple(int(v) for v in row)
         if len(row) != n:
             raise ValueError(f"row {x} has length {len(row)}, expected {n}")

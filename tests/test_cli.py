@@ -60,6 +60,21 @@ def test_a_malformed_operator_dump_exits_2(capsys, tmp_path, dump, message):
     assert code == 2 and message in err
 
 
+def test_a_rack_file_with_float_entries_exits_2(capsys, tmp_path):
+    path = tmp_path / "floats.rack"
+    path.write_text('{"size": 2, "table": [[0.2, 0.9], [1.5, 1.1]], "quandle": true}\n')
+    code, _, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2 and "not integers" in err
+
+
+def test_an_operator_dump_with_negative_dimensions_exits_2(capsys, tmp_path):
+    path = tmp_path / "operator.txt"
+    path.write_text("F3[h]/h^2\n-2 -3 3\n")
+    code, _, err = run_cli(["quasidiagonalize", str(DATA / "quandle3.rack"),
+                            "--ring", "F3[h]/h^2", "--input", str(path)], capsys)
+    assert code == 2 and "negative dimensions -2x-3" in err
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run_cli(["validate", "/nonexistent/rack"], capsys)
     assert code == 2

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -615,3 +616,111 @@ def test_rational_overflow_is_refused_under_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=env, check=True)
     assert done.stdout.split() == ["False", "refused"]
+
+
+# -- the checked containers ------------------------------------------------------------
+
+def test_every_container_refuses_a_float_grid():
+    rack = yb.catalog.dihedral3()
+    for make, shape in ((yb.Cochain, (9, 9)), (yb.Chain, (9, 9)), (yb.RackCochain, (9,))):
+        with pytest.raises(TypeError, match="int64"):
+            make(rack, 2, F3, np.zeros(shape))
+        assert make(rack, 2, F3, np.zeros(shape, dtype=np.int64)).is_zero()
+
+
+def test_containers_refuse_the_wrong_shape_or_ring():
+    rack = yb.catalog.dihedral3()
+    with pytest.raises(ValueError, match=r"expected \(9, 9\)"):
+        yb.Chain(rack, 2, F3, np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"expected \(9,\)"):
+        yb.RackCochain(rack, 2, F3, np.zeros(8, dtype=np.int64))
+    with pytest.raises(yb.CoefficientError):
+        yb.RackCochain(rack, 2, yb.parse_ring("F3[h]/h^2"), np.zeros(9, dtype=np.int64))
+
+
+def test_chains_and_rack_cochains_share_the_cochain_checks():
+    # one base holds the fields and the checks; a chain is not a cochain
+    assert not issubclass(yb.Chain, yb.Cochain)
+    for cls in (yb.Chain, yb.RackCochain):
+        assert "__dataclass_fields__" not in vars(cls)
+        assert "entry" not in vars(cls) and "is_zero" not in vars(cls)
+    assert set(yb.Chain.__dataclass_fields__) == {"rack", "degree", "ring", "values"}
+
+
+@pytest.mark.parametrize("bad", [(0, 1, 2), (0, 5)])
+def test_entries_refuse_tuples_that_are_not_degree_tuples(bad):
+    rack = yb.catalog.dihedral3()
+    f = yb.identity_cochain(rack, 2, F3)
+    with pytest.raises(ValueError, match="not a 2-tuple"):
+        f.entry(bad, (0, 0))
+    with pytest.raises(ValueError, match="not a 2-tuple"):
+        yb.cochain_from_entries(rack, 2, F3, {((0, 0), bad): 1})
+    lam = yb.diagonal_part(f)
+    with pytest.raises(ValueError, match="not a 2-tuple"):
+        lam.entry(bad)
+    assert int(f.entry((1, 2), (1, 2))) == int(lam.entry((1, 2))) == 1
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 2.7, 2.0])
+def test_entry_builders_refuse_values_with_no_integer_representative(value):
+    rack = yb.catalog.dihedral3()
+    with pytest.raises(ValueError, match="not an exact integer"):
+        yb.cochain_from_entries(rack, 1, QQ, {((0,), (1,)): value})
+    with pytest.raises(ValueError, match="not an exact integer"):
+        yb.chain_from_entries(rack, 1, QQ, {((0,), (1,)): value})
+    with pytest.raises(ValueError, match="not an exact integer"):
+        yb.vector_to_cochain(rack, 1, QQ, [value] + [0] * 8)
+
+
+def test_integral_fractions_round_trip_through_vectors():
+    rack = yb.catalog.dihedral3()
+    f = yb.cochain_from_entries(rack, 1, QQ, {((0,), (1,)): Fraction(-4, 2), ((2,), (2,)): 7})
+    vec = cochain_to_vector(f)
+    assert vec[1] == Fraction(-2)
+    assert np.array_equal(yb.vector_to_cochain(rack, 1, QQ, vec).values, f.values)
+
+
+@pytest.mark.parametrize("length", [8, 10])
+def test_vector_to_cochain_refuses_the_wrong_length(length):
+    with pytest.raises(ValueError, match="has 9 entries, got"):
+        yb.vector_to_cochain(yb.catalog.dihedral3(), 1, F3, [1] * length)
+
+
+def test_rack_coboundary_refuses_a_rational_sum_that_leaves_int64():
+    lam = yb.RackCochain(yb.catalog.dihedral3(), 1, QQ,
+                         np.array([2**62, -2**62, 0], dtype=np.int64))
+    with pytest.raises(OverflowError, match=str(2**63 - 1)):
+        yb.rack_coboundary(lam)
+
+
+def test_rack_coboundary_refuses_int64_overflow_under_python_O():
+    script = textwrap.dedent("""
+        import numpy as np
+        import ybrack as yb
+        lam = yb.RackCochain(yb.catalog.dihedral3(), 1, yb.Rationals(),
+                             np.array([2**62, -2**62, 0], dtype=np.int64))
+        try:
+            yb.rack_coboundary(lam)
+        except OverflowError:
+            print(__debug__, "refused")
+        else:
+            print(__debug__, "returned")
+    """)
+    src = Path(yb.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.split() == ["False", "refused"]
+
+
+def test_rack_coboundary_reduces_its_input_over_a_prime_field():
+    rack = yb.catalog.dihedral3()
+    values = np.array([-2**62] + [2**62] * 8, dtype=np.int64)
+    got = yb.rack_coboundary(yb.RackCochain(rack, 2, F3, values)).values
+    want = yb.rack_coboundary(yb.RackCochain(rack, 2, F3, values % 3)).values
+    assert np.array_equal(got, want)
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        values = rng.integers(-2**62, 2**62, size=9)
+        got = yb.rack_coboundary(yb.RackCochain(rack, 2, F3, values)).values
+        assert np.array_equal(got, yb.rack_coboundary(yb.RackCochain(rack, 2, F3, values % 3)).values)

@@ -17,8 +17,9 @@ def test_every_key_class_is_in_source_order():
         q = rack.size
         for length in range(1, 5):
             for j in range(length):
-                members = position_data(rack, length, j).members
+                members = position_data(rack, length, j)
                 assert members.shape == (2, q, q ** (length - 1))
+                assert members.dtype == np.int64 and not members.flags.writeable
                 for summand in members:  # each summand holds every tuple once
                     assert np.array_equal(np.sort(summand, axis=None), np.arange(q**length))
                 for (summand, key, slot), code in np.ndenumerate(members):

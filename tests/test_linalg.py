@@ -354,6 +354,12 @@ def test_dump_and_load_round_trip():
     assert back5.ring == F5
 
 
+@pytest.mark.parametrize("header", ["-2 -3 0", "-1 2 0", "2 -1 0"])
+def test_load_refuses_negative_dimensions(header):
+    with pytest.raises(ValueError, match="negative dimensions"):
+        linalg.load_matrix(header + "\n", yb.Rationals())
+
+
 @pytest.mark.parametrize("spec", ["F5", "Q", "F5[h]/h^2", "Z/5^2"])
 def test_load_refuses_a_dump_for_another_modulus(spec):
     with pytest.raises(ValueError, match="does not match ring"):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import ybrack as yb
@@ -184,3 +186,11 @@ def test_sample_racks_all_validate():
     assert len(racks) >= 20
     for rack in racks:
         yb.validate(rack.table)  # revalidation never raises
+
+
+@pytest.mark.parametrize("table", [[[0.2, 0.9], [1.5, 1.1]], [[0.0, 1.0], [0.0, 1.0]],
+                                   [[False, False], [True, True]]])
+def test_rack_files_with_entries_that_are_not_integers_are_refused(table):
+    text = json.dumps({"size": 2, "table": table, "quandle": True})
+    with pytest.raises(ValueError, match="not integers"):
+        yb.load_rack(text)

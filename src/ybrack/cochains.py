@@ -123,9 +123,13 @@ def _integer(value) -> int:
     raise ValueError(f"coefficient {value!r} is not an exact integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CoefficientArray:
-    """int64 coefficients with ``axes`` axes of length q^degree over a field."""
+    """int64 coefficients with ``axes`` axes of length q^degree over a field.
+
+    Two arrays are equal when they have the same class, rack, degree and
+    ring and equal values.  They are not hashable: ``values`` is mutable.
+    """
 
     rack: RackTable
     degree: int
@@ -133,6 +137,13 @@ class _CoefficientArray:
     values: np.ndarray
 
     axes = 2
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.rack, self.degree, self.ring) == (other.rack, other.degree, other.ring)
+                and np.array_equal(self.values, other.values))
 
     def __post_init__(self):
         _modulus(self.ring)  # refuses coefficient rings that are not fields

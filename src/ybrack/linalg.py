@@ -5,20 +5,28 @@ form (RREF), which is canonical for a matrix over a field, so every answer
 is independent of how the elimination is organised.  There is one
 elimination path for every field:
 
-1. **Blocks.**  The nonzero entries are split into the connected components
+1. **Unit pivots (rank only).**  :func:`rank` first eliminates pivots on
+   entries that are units over every field (1 and -1) in vectorised
+   rounds of independent pivots, and keeps only the Schur complement that
+   remains, the core (:func:`_unit_pivots`).  The rank is the pivot count
+   plus the rank of the core, which the steps below reduce.
+   :func:`kernel_basis` and :func:`rank_and_solve` need the rows of the
+   RREF, so they start at step 2 with the whole matrix.
+2. **Blocks.**  The nonzero entries are split into the connected components
    of the row/column incidence graph.  Distinct blocks share no row and no
    column, so the RREF of the matrix is the union of the blocks' RREFs and
    each block is eliminated on its own as a dense grid.
-2. **Over F_p** a block is reduced mod p with int64 arithmetic, which is
+3. **Over F_p** a block is reduced mod p with int64 arithmetic, which is
    exact for p up to :data:`MAX_PRIME`; larger primes are refused.
-3. **Over Q** every row is first scaled by the lcm of its denominators
+4. **Over Q** every row is first scaled by the lcm of its denominators
    (same row space, same RREF), and a block is reduced fraction-free over Z
    (:func:`ybrack.rings._rref_over_z`).  Integer row operations keep the
    row space, so each reduced row divided by its pivot entry is the RREF
    row exactly: there is nothing to certify.
 
-Pivoting is deterministic (the first nonzero entry of a column, in row
-order).
+Pivoting is deterministic: unit pivots are chosen by Markowitz cost with
+ties in position order, and a block pivots on the first nonzero entry of a
+column, in row order.
 
 A matrix is stored as coordinates: the sorted flat positions
 ``row * cols + col`` of its nonzero entries and their reduced values (int64
@@ -33,8 +41,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rings import (NotAFieldError, PrimeField, Rationals, Ring, SeriesRing,
-                    _rref_mod_p, _rref_over_z, _scaled_rows)
+from .rings import (INT64_MAX, NotAFieldError, PrimeField, Rationals, Ring, SeriesRing,
+                    _magnitude, _rref_mod_p, _rref_over_z, _scaled_rows)
 
 # The largest prime p whose elimination stays inside int64: every value it
 # forms lies within (p - 1)^2 + (p - 1) < 2^63.
@@ -47,6 +55,19 @@ class BlockSizeError(ValueError):
     def __init__(self, rows, cols):
         super().__init__(f"a connected {rows}x{cols} block exceeds the dense "
                          f"elimination limit of {BLOCK_CELL_LIMIT} cells")
+
+
+def _summed(keys: np.ndarray, vals: np.ndarray, ring: Ring):
+    """Sorted distinct keys and the sums of their int64 values, reduced mod p
+    over F_p, zeros dropped (one sort, then one segment sum)."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    if starts.size:
+        vals = np.add.reduceat(vals, starts)
+    if isinstance(ring, PrimeField):
+        vals = vals % ring.p
+    return keys[starts][vals != 0], vals[vals != 0]
 
 
 def _values(ring: Ring, values) -> np.ndarray:
@@ -106,20 +127,13 @@ class ExactMatrix:
     @classmethod
     def from_coo(cls, ring: Ring, rows: int, cols: int, row, col, value) -> "ExactMatrix":
         """Build from int64 coordinate arrays with integer values; repeated
-        positions are summed (sort, then one segment sum)."""
-        keys = np.asarray(row, dtype=np.int64) * cols + col
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        sums = np.add.reduceat(np.asarray(value, dtype=np.int64)[order], starts)
-        if isinstance(ring, PrimeField):
-            sums = sums % ring.p
-        keep = sums != 0
-        vals = sums[keep]
+        positions are summed."""
+        keys, vals = _summed(np.asarray(row, dtype=np.int64) * cols + col,
+                             np.asarray(value, dtype=np.int64), ring)
         if not isinstance(ring, PrimeField):  # one scalar object per distinct value
             distinct, index = np.unique(vals, return_inverse=True)
             vals = _values(ring, [ring.from_int(v) for v in distinct.tolist()])[index]
-        return cls(ring, rows, cols, coords=(keys[starts][keep], vals))
+        return cls(ring, rows, cols, coords=(keys, vals))
 
     # -- queries -------------------------------------------------------------
     def entry(self, i: int, j: int):
@@ -254,9 +268,96 @@ def _reduced_form(mat: ExactMatrix) -> _Reduced:
     return _Reduced(sorted(pivots.tolist()), at_pivot, col, num, den)
 
 
+# -- unit pivots -----------------------------------------------------------------
+
+def _pivot_index(row, col, cand, rows: int, cols: int):
+    """Per entry, the index in ``cand`` of the pivot in its row and of the
+    pivot in its column, or -1 where there is none."""
+    at_row, at_col = np.full(rows, -1), np.full(cols, -1)
+    at_row[row[cand]] = at_col[col[cand]] = np.arange(cand.size)
+    return at_row[row], at_col[col]
+
+
+def _unit_pivots(mat: ExactMatrix) -> tuple[int, ExactMatrix]:
+    """Eliminate unit pivots in rounds; returns (the number of pivots, the
+    core), and rank(mat) is that number plus the rank of the core.
+
+    The entries are integers: residues over F_p, and over Q the rows scaled
+    by the lcm of their denominators.  The units among them are 1 and p - 1,
+    or 1 and -1, so each pivot entry d is its own inverse.  A round orders
+    the unit entries by Markowitz cost (r - 1)(c - 1), cheapest first, and
+    keeps the first of each row and then of each column.  For each nonzero
+    entry that lies in one pivot's row and another pivot's column, it drops
+    the later of the two pivots.  The pivots R x C then meet in a diagonal
+    submatrix diag(d), and the round replaces the matrix by the Schur
+    complement A[~R, ~C] - A[~R, C] diag(d) A[R, ~C], whose rank is rank(A)
+    minus the pivot count.  All products of one round are summed in one
+    sort.  The core keeps the global row and column indices, with the pivot
+    rows and columns empty.
+
+    Over F_p each product is formed from two residues and reduced, so it is
+    below (p - 1)^2, and a cell sums at most min(rows, cols) of them and its
+    old residue: below (p - 1)(min(rows, cols) + 1) < 2^63, because rows * cols
+    < 2^63 and p <= MAX_PRIME.  Over Q a round runs only when (contributions
+    per cell) * max|a| * max|b| + max|A| < 2^63.  Otherwise the rounds stop
+    and the blocks reduce the core, switching to Python ints where they must.
+    """
+    ring = mat.ring
+    rows, cols = mat.rows, mat.cols
+    keys = mat._keys
+    prime = isinstance(ring, PrimeField)
+    vals = mat._vals if prime else _scaled_rows(keys // max(cols, 1), mat._vals.tolist())
+    count = 0
+    while vals.size and vals.dtype != object:
+        row, col = np.divmod(keys, cols)
+        cand = np.flatnonzero((vals == 1) | (vals == (ring.p - 1 if prime else -1)))
+        if not cand.size:
+            break
+        cost = ((np.bincount(row, minlength=rows)[row[cand]] - 1)
+                * (np.bincount(col, minlength=cols)[col[cand]] - 1))
+        cand = cand[np.argsort(cost, kind="stable")]
+        for axis in (row, col):
+            cand = cand[np.sort(np.unique(axis[cand], return_index=True)[1])]
+        kr, kc = _pivot_index(row, col, cand, rows, cols)
+        cross = (kr >= 0) & (kc >= 0) & (kr != kc)
+        keep = np.ones(cand.size, dtype=bool)
+        keep[np.maximum(kr[cross], kc[cross])] = False
+        cand = cand[keep]
+        kr, kc = _pivot_index(row, col, cand, rows, cols)
+        rest = (kr < 0) & (kc < 0)
+        lower = np.flatnonzero((kr < 0) & (kc >= 0))  # a = A[i, c_k], i not in R
+        right = np.flatnonzero((kr >= 0) & (kc < 0))  # b = A[r_k, j], j not in C
+        right = right[np.argsort(kr[right], kind="stable")]
+        if not prime and lower.size and right.size:
+            per_cell = int(np.bincount(row[lower]).max())
+            if (per_cell * _magnitude(vals[lower]) * _magnitude(vals[right])
+                    + _magnitude(vals[rest]) > INT64_MAX):
+                break
+        # each a in pivot k's column, times -d_k, meets each b in pivot k's row
+        k = kc[lower]
+        width = np.bincount(kr[right], minlength=cand.size)[k]
+        src = np.repeat(np.arange(lower.size), width)
+        shift = np.searchsorted(kr[right], k) - (np.cumsum(width) - width)
+        dst = right[np.arange(src.size) + np.repeat(shift, width)]
+        f = -vals[lower] * vals[cand][k]
+        if prime:
+            f %= ring.p
+        prod = f[src] * vals[dst]
+        if prime:
+            prod %= ring.p
+        keys, vals = _summed(np.concatenate([keys[rest], row[lower][src] * cols + col[dst]]),
+                             np.concatenate([vals[rest], prod]), ring)
+        count += cand.size
+    core = vals if prime else vals.astype(object)
+    return count, ExactMatrix(ring, rows, cols, coords=(keys, core))
+
+
 def rank(mat: ExactMatrix) -> int:
-    """Row rank by exact Gaussian elimination (field coefficients only)."""
-    return len(_reduced_form(mat).pivots)
+    """Row rank by exact Gaussian elimination (field coefficients only):
+    the unit pivots of :func:`_unit_pivots`, then the core's RREF."""
+    _require_field(mat.ring)
+    count, core = _unit_pivots(mat)
+    return count + len(_reduced_form(core).pivots)
 
 
 def kernel_basis(mat: ExactMatrix) -> list[list]:

@@ -638,6 +638,32 @@ def test_containers_refuse_the_wrong_shape_or_ring():
         yb.RackCochain(rack, 2, yb.parse_ring("F3[h]/h^2"), np.zeros(9, dtype=np.int64))
 
 
+def test_containers_compare_by_value():
+    rack = yb.catalog.dihedral3()
+    f = cochains.cochain_from_entries(rack, 2, F3, {((0, 1), (2, 0)): 1})
+    assert f == cochains.cochain_from_entries(rack, 2, F3, {((0, 1), (2, 0)): 4})
+    assert f != cochains.zero_cochain(rack, 2, F3)
+    assert f != cochains.cochain_from_entries(rack, 2, F5, {((0, 1), (2, 0)): 1})
+    assert f != cochains.cochain_from_entries(yb.catalog.quandle3(), 2, F3,
+                                              {((0, 1), (2, 0)): 1})
+    assert cochains.zero_cochain(rack, 1, F3) != cochains.zero_cochain(rack, 1, QQ)
+    # a chain and a cochain on the same grid are different objects
+    assert yb.Chain(rack, 2, F3, f.values) != f
+    assert f != yb.Chain(rack, 2, F3, f.values)
+    lam = yb.RackCochain(rack, 2, F3, np.arange(9, dtype=np.int64) % 3)
+    assert lam == yb.RackCochain(rack, 2, F3, np.arange(9, dtype=np.int64) % 3)
+    assert lam != yb.RackCochain(rack, 2, F3, np.zeros(9, dtype=np.int64))
+
+
+def test_containers_are_not_hashable():
+    rack = yb.catalog.dihedral3()
+    for value in (cochains.zero_cochain(rack, 2, F3),
+                  yb.Chain(rack, 2, F3, np.zeros((9, 9), dtype=np.int64)),
+                  yb.RackCochain(rack, 2, F3, np.zeros(9, dtype=np.int64))):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
 def test_chains_and_rack_cochains_share_the_cochain_checks():
     # one base holds the fields and the checks; a chain is not a cochain
     assert not issubclass(yb.Chain, yb.Cochain)

@@ -43,16 +43,16 @@ from .linalg import ExactMatrix
 from .racks import RackTable, is_rack_homomorphism
 from .rings import INT64_MAX, PrimeField, Rationals, Ring, ring_spec
 
-DEGREE_CAP = 3          # cochain degrees supported as a target (d^2 needs one more)
-MATRIX_ENTRY_CAP = 10**8
+MATRIX_ENTRY_CAP = 1 << 24  # int64 codes one matrix build may hold, ~66 B each at peak
 CHUNK_PAIRS = 1 << 16   # output pairs per chunk of a coboundary summand
 
 
 class SizeGuardError(ValueError):
-    def __init__(self, dimension, cap):
-        self.dimension = dimension
+    def __init__(self, codes, cap):
+        self.codes = codes  # exact below 2^64: the counts stop their power at q^64
         self.cap = cap
-        super().__init__(f"output space of size {dimension} exceeds the cap {cap}")
+        count = f"{codes:,}" if codes < 2**64 else "over 2^64"
+        super().__init__(f"a coboundary matrix of {count} pair codes exceeds the cap {cap:,}")
 
 
 class CoefficientError(TypeError):
@@ -280,16 +280,15 @@ def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
 
     Rows are indexed by q^(2(degree+1)) output pairs, columns by q^(2 degree)
     input pairs; each row has at most 2(degree+1) nonzero entries.  A
-    ``subcomplex`` "diagonal" or "quasidiagonal" restricts rows and columns
-    to its :func:`pair_basis` before the matrix is built.  More than
-    ``MATRIX_ENTRY_CAP`` output pairs are refused.
+    ``subcomplex`` "diagonal" or "quasidiagonal" keeps the rows and columns
+    of its :func:`pair_basis`.  Every build first forms 2(degree+1) q^(2 degree+1)
+    int64 pair codes; more than ``MATRIX_ENTRY_CAP`` are refused before any exists.
     """
     _modulus(ring)  # reject truncated coefficient rings early
     q = rack.size
-    out_dim = q ** (2 * (degree + 1))
-    if out_dim > MATRIX_ENTRY_CAP:
-        raise SizeGuardError(out_dim, MATRIX_ENTRY_CAP)
-    in_dim = q ** (2 * degree)
+    if (codes := 2 * (degree + 1) * q ** min(2 * degree + 1, 64)) > MATRIX_ENTRY_CAP:
+        raise SizeGuardError(codes, MATRIX_ENTRY_CAP)
+    out_dim, in_dim = q ** (2 * (degree + 1)), q ** (2 * degree)
     members = [position_data(rack, degree + 1, i) for i in range(degree + 1)]
     rows = _pair_codes(np.stack(members), q ** (degree + 1))
     cols = np.tile(np.arange(in_dim), rows.size // in_dim)  # slot pairs are input pairs
@@ -348,16 +347,13 @@ def cohomology_dim(rack: RackTable, ring: Ring, degree: int,
     ``subcomplex`` is "full", "diagonal" or "quasidiagonal"; the latter two
     restrict both coboundary matrices to the corresponding pair basis (the
     subcomplexes are closed under d, so this is the subcomplex cohomology).
-    Degrees above ``DEGREE_CAP`` are refused.
+    Any degree is computed; d^degree is built first, so a refused size costs nothing.
     """
     if degree < 2:
         raise ValueError("cohomology needs degree >= 2 (uses d^(n-1) and d^n)")
-    if degree > DEGREE_CAP:
-        raise ValueError(f"degree {degree} above the supported cap {DEGREE_CAP}")
-    d_low = coboundary_matrix(rack, ring, degree - 1, subcomplex)
     d_high = coboundary_matrix(rack, ring, degree, subcomplex)
     kernel_dim = d_high.cols - linalg.rank(d_high)
-    return kernel_dim - linalg.rank(d_low)
+    return kernel_dim - linalg.rank(coboundary_matrix(rack, ring, degree - 1, subcomplex))
 
 
 # -- rack cochain complex ---------------------------------------------------------
@@ -391,8 +387,11 @@ def rack_coboundary(lam: RackCochain) -> RackCochain:
 
 def rack_coboundary_matrix(rack: RackTable, ring: Ring, degree: int) -> ExactMatrix:
     """Sparse matrix of the rack coboundary on degree-n cochains: row
-    classes[k, s] meets column s once per summand, with the summand's sign."""
+    classes[k, s] meets column s once per summand, with the summand's sign;
+    its 2n q^(n+1) row codes are held to ``MATRIX_ENTRY_CAP``."""
     q = rack.size
+    if (codes := 2 * degree * q ** min(degree + 1, 64)) > MATRIX_ENTRY_CAP:
+        raise SizeGuardError(codes, MATRIX_ENTRY_CAP)
     summands = list(_rack_summands(rack, degree + 1))
     rows = np.array([classes for _, classes in summands], dtype=np.int64).reshape(-1)
     cols = np.tile(np.arange(q**degree), 2 * degree * q)
@@ -404,9 +403,9 @@ def rack_cohomology_dim(rack: RackTable, ring: Ring, degree: int) -> int:
     if degree < 2:
         raise ValueError("rack cohomology dimension needs degree >= 2")
     _modulus(ring)
-    d_low = rack_coboundary_matrix(rack, ring, degree - 1)
     d_high = rack_coboundary_matrix(rack, ring, degree)
-    return (d_high.cols - linalg.rank(d_high)) - linalg.rank(d_low)
+    kernel_dim = d_high.cols - linalg.rank(d_high)
+    return kernel_dim - linalg.rank(rack_coboundary_matrix(rack, ring, degree - 1))
 
 
 def diagonal_part(f: Cochain) -> RackCochain:

@@ -293,7 +293,7 @@ def _unit_pivots(mat: ExactMatrix) -> tuple[int, ExactMatrix]:
     complement A[~R, ~C] - A[~R, C] diag(d) A[R, ~C], whose rank is rank(A)
     minus the pivot count.  All products of one round are summed in one
     sort.  The core keeps the global row and column indices, with the pivot
-    rows and columns empty.
+    rows and columns empty; over Q its integer values become Fractions again.
 
     Over F_p each product is formed from two residues and reduced, so it is
     below (p - 1)^2, and a cell sums at most min(rows, cols) of them and its
@@ -348,7 +348,7 @@ def _unit_pivots(mat: ExactMatrix) -> tuple[int, ExactMatrix]:
         keys, vals = _summed(np.concatenate([keys[rest], row[lower][src] * cols + col[dst]]),
                              np.concatenate([vals[rest], prod]), ring)
         count += cand.size
-    core = vals if prime else vals.astype(object)
+    core = vals if prime else np.frompyfunc(Fraction, 1, 1)(vals.astype(object))
     return count, ExactMatrix(ring, rows, cols, coords=(keys, core))
 
 

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ybrack as yb
+from ybrack import cochains
 from ybrack.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "ybrack" / "data"
@@ -214,6 +216,27 @@ def test_quasidiagonalize_invalid_operator_reports_ybe_failure(capsys, tmp_path)
     assert code == 1
     assert "fails the Yang-Baxter equation" in out
     assert "failure_order" in out
+
+
+@pytest.mark.parametrize("char, dimension", [(3, 4), (0, 1)])
+def test_cohomology_in_degree_4(capsys, tmp_path, char, dimension):
+    sidecar = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        ["cohomology", str(DATA / "dihedral3.rack"), "--degree", "4", "--char", str(char),
+         "--json-out", str(sidecar)], capsys)
+    assert code == 0 and f"dimension: {dimension}" in out
+    results = json.loads(sidecar.read_text())["results"]
+    assert (results["degree"], results["characteristic"], results["dimension"]) == \
+        (4, char, dimension)
+
+
+def test_a_degree_over_the_size_cap_exits_2_before_building(capsys):
+    started = time.perf_counter()
+    code, _, err = run_cli(
+        ["cohomology", str(DATA / "dihedral4.rack"), "--degree", "5", "--char", "2"], capsys)
+    assert time.perf_counter() - started < 0.5
+    assert code == 2
+    assert f"50,331,648 pair codes exceeds the cap {cochains.MATRIX_ENTRY_CAP:,}" in err
 
 
 def test_console_entry_point_runs():

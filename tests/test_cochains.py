@@ -165,6 +165,86 @@ def test_size_guard(monkeypatch):
         yb.coboundary_matrix(yb.catalog.dihedral4(), F2, 2)
 
 
+def test_the_size_guard_counts_the_pair_codes_a_build_allocates(monkeypatch):
+    # 2(n+1) q^(2n+1) pair codes for d^n in every subcomplex, 2n q^(n+1) for the rack d^n
+    rack = yb.catalog.dihedral3()
+    for mode in ("full", "diagonal", "quasidiagonal"):
+        monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", 6 * 3**5)
+        assert yb.coboundary_matrix(rack, F2, 2, mode).nnz() > 0
+        monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", 6 * 3**5 - 1)
+        with pytest.raises(yb.SizeGuardError, match="1,458 pair codes exceeds the cap 1,457"):
+            yb.coboundary_matrix(rack, F2, 2, mode)
+    monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", 6 * 3**4)
+    assert yb.rack_coboundary_matrix(rack, F2, 3).rows == 81
+    with pytest.raises(yb.SizeGuardError, match="1,944 pair codes exceeds the cap 486"):
+        yb.rack_coboundary_matrix(rack, F2, 4)
+
+
+def test_an_absurd_degree_is_refused_without_forming_its_count():
+    # q^(2n+1) at n = 10^9 would take minutes to form and could not be printed
+    for dim in (yb.cohomology_dim, yb.rack_cohomology_dim):
+        with pytest.raises(yb.SizeGuardError, match="over 2\\^64 pair codes") as refused:
+            dim(yb.catalog.dihedral3(), F2, 10**9)
+        assert refused.value.codes >= 2**64
+    with pytest.raises(yb.SizeGuardError) as refused:
+        yb.cohomology_dim(yb.trivial_rack(1), F2, 10**9)
+    assert refused.value.codes == 2 * (10**9 + 1)
+
+
+@pytest.mark.parametrize("dim, make, degree, codes", [
+    (yb.cohomology_dim, lambda: yb.dihedral_quandle(9), 3, 38_263_752),
+    (yb.cohomology_dim, lambda: yb.dihedral_quandle(5), 4, 19_531_250),
+    (yb.cohomology_dim, yb.catalog.dihedral4, 5, 50_331_648),
+    (yb.cohomology_dim, yb.catalog.dihedral3, 6, 22_320_522),
+    (yb.rack_cohomology_dim, lambda: yb.dihedral_quandle(5), 9, 18 * 5**10),
+], ids=["dihedral9-d3", "dihedral5-d4", "dihedral4-d5", "dihedral3-d6", "rack-dihedral5-d9"])
+def test_a_matrix_over_the_cap_is_refused_before_it_is_built(dim, make, degree, codes):
+    # d^n is built before d^(n-1), so the refusal comes before any array of either
+    rack = make()
+    tracemalloc.start()
+    try:
+        with pytest.raises(yb.SizeGuardError) as refused:
+            dim(rack, F2, degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (refused.value.codes, refused.value.cap) == (codes, cochains.MATRIX_ENTRY_CAP)
+    assert f"{codes:,} pair codes exceeds the cap {cochains.MATRIX_ENTRY_CAP:,}" in str(refused.value)
+    assert peak < 64 * 1024, peak
+
+
+def test_full_h4_equals_quasidiagonal_h4_on_the_sample_up_to_size_3():
+    # over F2, F3, F5, Q; the 4 over F3 is 3-torsion in H^4 of the dihedral quandle
+    fields = (F2, F3, F5, QQ)
+    known = {yb.catalog.quandle3(): [81] * 4, yb.catalog.dihedral3(): [1, 4, 1, 1],
+             yb.dihedral_quandle(3): [1, 4, 1, 1], yb.affine_quandle(3, 2): [1, 4, 1, 1]}
+    racks = [r for r in small_rack_sample() if r.size <= 3] + [yb.catalog.dihedral3()]
+    assert set(known) <= set(racks)
+    for rack in racks:
+        full = [yb.cohomology_dim(rack, ring, 4) for ring in fields]
+        assert full == [yb.cohomology_dim(rack, ring, 4, "quasidiagonal") for ring in fields]
+        assert full == known.get(rack, full), rack.table
+
+
+def test_full_h4_of_dihedral4_within_a_memory_budget():
+    # F2 and Q ranks of d^4 (1,048,576 x 65,536) and d^3 in one fresh process
+    script = textwrap.dedent("""
+        import resource
+        import ybrack as yb
+        rack = yb.catalog.dihedral4()
+        for ring in (yb.PrimeField(2), yb.Rationals()):
+            print(yb.cohomology_dim(rack, ring, 4), yb.cohomology_dim(rack, ring, 4, "quasidiagonal"))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+    """)
+    src = Path(yb.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    lines = done.stdout.split("\n")
+    assert lines[:2] == ["464 464", "256 256"]
+    assert int(lines[2]) <= 384, f"max RSS {lines[2]} MB"  # measured 319 MB
+
+
 def test_cohomology_dims_match_reported_values():
     assert yb.cohomology_dim(yb.catalog.quandle3(), F2, 2) == 9
     assert yb.cohomology_dim(yb.catalog.dihedral4(), F2, 2) == 20
@@ -448,10 +528,7 @@ def test_cohomology_degree_bounds():
     rack = yb.catalog.quandle3()
     with pytest.raises(ValueError):
         yb.cohomology_dim(rack, F2, 1)
-    with pytest.raises(ValueError):
-        yb.cohomology_dim(rack, F2, 4)  # above the default degree cap
-    # degree 3 is inside the supported range
-    assert yb.cohomology_dim(rack, F2, 3) >= 0
+    assert yb.cohomology_dim(rack, F2, 4) == 81  # only the size of d^n bounds the degree
 
 
 # -- the chunked apply ---------------------------------------------------------------

@@ -349,6 +349,20 @@ def test_a_schur_round_that_would_leave_int64_matches_the_oracle():
     assert linalg.rank(matrix(ring, grid)) == 3
 
 
+def test_the_core_over_q_holds_fractions():
+    # the rounds run on integer rows, but the core is a matrix over Q again;
+    # 3 == Fraction(3), so only the type of each value shows this
+    ring = yb.Rationals()
+    stopped = matrix(ring, _scalars(ring, [[1, 0, 2**31], [0, 1, 2**31], [2**31, 2**31, 0]]))
+    for m, pivots, nnz in ((yb.coboundary_matrix(yb.catalog.dihedral3(), ring, 3), 655, 16),
+                           (stopped, 0, 6)):
+        count, core = linalg._unit_pivots(m)
+        assert (count, core.nnz()) == (pivots, nnz)
+        items = list(core.nonzero_items())
+        assert all(type(v) is Fraction for _, v in items)
+        assert all(type(core.entry(i, j)) is Fraction for (i, j), _ in items)
+
+
 @pytest.mark.parametrize("spec, cells", [("F2", 0), ("Q", 1024)])
 def test_full_h3_of_dihedral4_reaches_only_small_blocks(monkeypatch, spec, cells):
     # a count, not a timing: without the unit pivots the largest block of

@@ -57,17 +57,26 @@ class BlockSizeError(ValueError):
                          f"elimination limit of {BLOCK_CELL_LIMIT} cells")
 
 
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """Per entry of a sorted array, whether it starts a run of equal values."""
+    first = np.empty(ids.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    return first
+
+
 def _summed(keys: np.ndarray, vals: np.ndarray, ring: Ring):
     """Sorted distinct keys and the sums of their int64 values, reduced mod p
     over F_p, zeros dropped (one sort, then one segment sum)."""
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    starts = np.flatnonzero(_run_starts(keys))
     if starts.size:
         vals = np.add.reduceat(vals, starts)
     if isinstance(ring, PrimeField):
-        vals = vals % ring.p
-    return keys[starts][vals != 0], vals[vals != 0]
+        vals %= ring.p
+    nonzero = vals != 0
+    return keys[starts][nonzero], vals[nonzero]
 
 
 def _values(ring: Ring, values) -> np.ndarray:
@@ -137,8 +146,11 @@ class ExactMatrix:
 
     # -- queries -------------------------------------------------------------
     def entry(self, i: int, j: int):
-        k = int(np.searchsorted(self._keys, i * self.cols + j))
-        if k < self._keys.size and self._keys[k] == i * self.cols + j:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
+        key = i * self.cols + j
+        k = int(np.searchsorted(self._keys, key))
+        if k < self._keys.size and self._keys[k] == key:
             return self._vals[k:k + 1].tolist()[0]
         return self.ring.zero()
 
@@ -284,50 +296,73 @@ def _unit_pivots(mat: ExactMatrix) -> tuple[int, ExactMatrix]:
 
     The entries are integers: residues over F_p, and over Q the rows scaled
     by the lcm of their denominators.  The units among them are 1 and p - 1,
-    or 1 and -1, so each pivot entry d is its own inverse.  A round orders
-    the unit entries by Markowitz cost (r - 1)(c - 1), cheapest first, and
-    keeps the first of each row and then of each column.  For each nonzero
-    entry that lies in one pivot's row and another pivot's column, it drops
-    the later of the two pivots.  The pivots R x C then meet in a diagonal
-    submatrix diag(d), and the round replaces the matrix by the Schur
-    complement A[~R, ~C] - A[~R, C] diag(d) A[R, ~C], whose rank is rank(A)
-    minus the pivot count.  All products of one round are summed in one
-    sort.  The core keeps the global row and column indices, with the pivot
-    rows and columns empty; over Q its integer values become Fractions again.
+    or 1 and -1, so each pivot entry d is its own inverse.  A round chooses
+    its pivots among the unit entries by Markowitz cost (r - 1)(c - 1), for
+    r entries in the row and c in the column, with ties in position order:
 
-    Over F_p each product is formed from two residues and reduced, so it is
-    below (p - 1)^2, and a cell sums at most min(rows, cols) of them and its
-    old residue: below (p - 1)(min(rows, cols) + 1) < 2^63, because rows * cols
-    < 2^63 and p <= MAX_PRIME.  Over Q a round runs only when (contributions
-    per cell) * max|a| * max|b| + max|A| < 2^63.  Otherwise the rounds stop
-    and the blocks reduce the core, switching to Python ints where they must.
+    1. Per row, the cheapest unit entry, the first of them on a tie.  The
+       keys are sorted, so a row's entries are contiguous and one segment
+       minimum (``np.minimum.reduceat``) over the rows finds them all.
+    2. Per column, the cheapest of those row winners, the first in position
+       order on a tie: one ``lexsort`` of the row winners only, by (column,
+       cost, position).
+    3. The survivors in (cost, position) order, by a second ``lexsort``.
+       For each nonzero entry that lies in one pivot's row and another
+       pivot's column, the later of the two pivots in this order is dropped.
+
+    The pivots R x C then meet in a diagonal submatrix diag(d), and the round
+    replaces the matrix by the Schur complement
+    A[~R, ~C] - A[~R, C] diag(d) A[R, ~C], whose rank is rank(A) minus the
+    pivot count.  All products of one round are summed in one sort.  The
+    core keeps the global row and column indices, with the pivot rows and
+    columns empty; over Q its integer values become Fractions again.
+
+    Every int64 value stays in range.  A cost is at most
+    (cols - 1)(rows - 1) < rows * cols < 2^63.  Over F_p each product is
+    formed from two residues and reduced, so it is below (p - 1)^2, and a
+    cell sums at most min(rows, cols) of them and its old residue: below
+    (p - 1)(min(rows, cols) + 1) < 2^63, because rows * cols < 2^63 and
+    p <= MAX_PRIME.  Over Q a round runs only when (contributions per cell)
+    * max|a| * max|b| + max|A| < 2^63.  Otherwise the rounds stop and the
+    blocks reduce the core, switching to Python ints where they must.
     """
     ring = mat.ring
     rows, cols = mat.rows, mat.cols
     keys = mat._keys
     prime = isinstance(ring, PrimeField)
     vals = mat._vals if prime else _scaled_rows(keys // max(cols, 1), mat._vals.tolist())
+    unit = ring.p - 1 if prime else -1
     count = 0
     while vals.size and vals.dtype != object:
         row, col = np.divmod(keys, cols)
-        cand = np.flatnonzero((vals == 1) | (vals == (ring.p - 1 if prime else -1)))
+        cand = np.flatnonzero((vals == 1) | (vals == unit))
         if not cand.size:
             break
-        cost = ((np.bincount(row, minlength=rows)[row[cand]] - 1)
-                * (np.bincount(col, minlength=cols)[col[cand]] - 1))
-        cand = cand[np.argsort(cost, kind="stable")]
-        for axis in (row, col):
-            cand = cand[np.sort(np.unique(axis[cand], return_index=True)[1])]
+        crow, ccol = row[cand], col[cand]
+        cost = ((np.bincount(row, minlength=rows)[crow] - 1)
+                * (np.bincount(col, minlength=cols)[ccol] - 1))
+        first = _run_starts(crow)
+        starts = np.flatnonzero(first)
+        low = np.empty(rows, dtype=cost.dtype)
+        low[crow[starts]] = np.minimum.reduceat(cost, starts)
+        win = np.flatnonzero(cost == low[crow])
+        win = win[_run_starts(crow[win])]
+        by_col = np.lexsort((win, cost[win], ccol[win]))
+        win = win[by_col[_run_starts(ccol[win][by_col])]]
+        cand = cand[win[np.lexsort((win, cost[win]))]]
         kr, kc = _pivot_index(row, col, cand, rows, cols)
-        cross = (kr >= 0) & (kc >= 0) & (kr != kc)
+        cross = (kr != kc) & (np.minimum(kr, kc) >= 0)
         keep = np.ones(cand.size, dtype=bool)
         keep[np.maximum(kr[cross], kc[cross])] = False
         cand = cand[keep]
         kr, kc = _pivot_index(row, col, cand, rows, cols)
-        rest = (kr < 0) & (kc < 0)
-        lower = np.flatnonzero((kr < 0) & (kc >= 0))  # a = A[i, c_k], i not in R
-        right = np.flatnonzero((kr >= 0) & (kc < 0))  # b = A[r_k, j], j not in C
-        right = right[np.argsort(kr[right], kind="stable")]
+        in_r, in_c = kr >= 0, kc >= 0
+        rest = ~(in_r | in_c)
+        lower = np.flatnonzero(in_c > in_r)  # a = A[i, c_k], i not in R
+        right = np.flatnonzero(in_r > in_c)  # b = A[r_k, j], j not in C
+        at = kr[right]
+        order = np.argsort(at, kind="stable")
+        right, at = right[order], at[order]
         if not prime and lower.size and right.size:
             per_cell = int(np.bincount(row[lower]).max())
             if (per_cell * _magnitude(vals[lower]) * _magnitude(vals[right])
@@ -335,9 +370,9 @@ def _unit_pivots(mat: ExactMatrix) -> tuple[int, ExactMatrix]:
                 break
         # each a in pivot k's column, times -d_k, meets each b in pivot k's row
         k = kc[lower]
-        width = np.bincount(kr[right], minlength=cand.size)[k]
+        width = np.bincount(at, minlength=cand.size)[k]
         src = np.repeat(np.arange(lower.size), width)
-        shift = np.searchsorted(kr[right], k) - (np.cumsum(width) - width)
+        shift = np.searchsorted(at, k) - (np.cumsum(width) - width)
         dst = right[np.arange(src.size) + np.repeat(shift, width)]
         f = -vals[lower] * vals[cand][k]
         if prime:

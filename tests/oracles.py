@@ -10,11 +10,16 @@ check against the displayed formulas, and exchanges each step with the level
 projection, which the library's single walk does not build.
 """
 
+import math
+from fractions import Fraction
 from itertools import product
 from operator import mul
 
+import numpy as np
+
 from ybrack.cochains import add, coboundary, scale, zero_cochain
 from ybrack.homotopy import insertion_homotopy, level_projection
+from ybrack.rings import PrimeField
 
 
 def all_tuples(q, n):
@@ -196,6 +201,91 @@ def solve_longhand(grid, rhs, ring):
     for c in pivots:
         x[c] = reduced[c].get(cols, ring.zero())
     return x
+
+
+def unit_pivots_longhand(mat):
+    """(pivot count, core keys, core values) of ``linalg._unit_pivots``, with
+    each round's pivots chosen by one sort of every unit entry.
+
+    The values are integers: residues over F_p, and over Q each row scaled
+    by the lcm of its denominators.  A round sorts the unit entries (1 and
+    p - 1, or 1 and -1) by Markowitz cost (r - 1)(c - 1) and then position,
+    keeps the first of each row and then the first of each column, and for
+    each entry in one pivot's row and another pivot's column drops the later
+    of the two pivots in that order.  The pivots meet in a diagonal diag(d)
+    with d = d^-1, and the round replaces the matrix by its Schur complement.
+    Over Q the rounds stop as soon as a sum could leave int64; the core's
+    values are then Fractions of the scaled integers.
+    """
+    rows, cols = mat.rows, mat.cols
+    keys = mat._keys
+    prime = isinstance(mat.ring, PrimeField)
+    unit = mat.ring.p - 1 if prime else -1
+    int64_max = 2**63 - 1
+    if prime:
+        vals = mat._vals
+    else:
+        row_of = (keys // max(cols, 1)).tolist()
+        lcm = {}
+        for i, v in zip(row_of, mat._vals.tolist()):
+            lcm[i] = math.lcm(lcm.get(i, 1), v.denominator)
+        ints = [int(v * lcm[i]) for i, v in zip(row_of, mat._vals.tolist())]
+        fits = all(abs(v) <= int64_max for v in ints)
+        vals = np.array(ints, dtype=np.int64 if fits else object)
+    count = 0
+    while vals.size and vals.dtype != object:
+        row, col = np.divmod(keys, cols)
+        cand = np.flatnonzero((vals == 1) | (vals == unit))
+        if not cand.size:
+            break
+        cost = ((np.bincount(row, minlength=rows)[row[cand]] - 1)
+                * (np.bincount(col, minlength=cols)[col[cand]] - 1))
+        cand = cand[np.argsort(cost, kind="stable")]
+        for axis in (row, col):
+            cand = cand[np.sort(np.unique(axis[cand], return_index=True)[1])]
+        at_row, at_col = np.full(rows, -1), np.full(cols, -1)
+        at_row[row[cand]] = at_col[col[cand]] = np.arange(cand.size)
+        kr, kc = at_row[row], at_col[col]
+        cross = (kr >= 0) & (kc >= 0) & (kr != kc)
+        keep = np.ones(cand.size, dtype=bool)
+        keep[np.maximum(kr[cross], kc[cross])] = False
+        cand = cand[keep]
+        at_row, at_col = np.full(rows, -1), np.full(cols, -1)
+        at_row[row[cand]] = at_col[col[cand]] = np.arange(cand.size)
+        kr, kc = at_row[row], at_col[col]
+        rest = (kr < 0) & (kc < 0)
+        lower = np.flatnonzero((kr < 0) & (kc >= 0))  # A[~R, C]
+        right = np.flatnonzero((kr >= 0) & (kc < 0))  # A[R, ~C]
+        if not prime and lower.size and right.size:
+            # a cell takes at most one product per entry of its row in a pivot column
+            per_cell = int(np.bincount(row[lower]).max())
+            big = max(abs(int(vals[lower].max())), abs(int(vals[lower].min())))
+            big *= max(abs(int(vals[right].max())), abs(int(vals[right].min())))
+            if per_cell * big + max(map(abs, vals[rest].tolist()), default=0) > int64_max:
+                break
+        right = right[np.argsort(kr[right], kind="stable")]
+        # each a below pivot k, times -d_k, meets each b beside pivot k
+        k = kc[lower]
+        width = np.bincount(kr[right], minlength=cand.size)[k]
+        src = np.repeat(np.arange(lower.size), width)
+        shift = np.searchsorted(kr[right], k) - (np.cumsum(width) - width)
+        dst = right[np.arange(src.size) + np.repeat(shift, width)]
+        f = -vals[lower] * vals[cand][k]
+        if prime:
+            f %= mat.ring.p
+        prod = f[src] * vals[dst]
+        if prime:
+            prod %= mat.ring.p
+        keys, where = np.unique(np.concatenate([row[lower][src] * cols + col[dst], keys[rest]]),
+                                return_inverse=True)
+        sums = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(sums, where, np.concatenate([prod, vals[rest]]))
+        if prime:
+            sums %= mat.ring.p
+        keys, vals = keys[sums != 0], sums[sums != 0]
+        count += cand.size
+    core = vals.tolist() if prime else [Fraction(v) for v in vals.tolist()]
+    return count, keys.tolist(), core
 
 
 def lift_longhand(ring, matrix, dim, strands, position):

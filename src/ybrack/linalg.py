@@ -341,8 +341,7 @@ def _unit_pivots(mat: ExactMatrix) -> tuple[int, ExactMatrix]:
         crow, ccol = row[cand], col[cand]
         cost = ((np.bincount(row, minlength=rows)[crow] - 1)
                 * (np.bincount(col, minlength=cols)[ccol] - 1))
-        first = _run_starts(crow)
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(_run_starts(crow))
         low = np.empty(rows, dtype=cost.dtype)
         low[crow[starts]] = np.minimum.reduceat(cost, starts)
         win = np.flatnonzero(cost == low[crow])

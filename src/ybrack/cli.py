@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import catalog, linalg
-from .cochains import cohomology_dim, pair_basis
+from .cochains import cohomology_dim
 from .deformations import (TruncatedDeformation, YBEFailure, check_family_claims,
                            instantiate_family, off_quasidiagonal_counts, quasidiagonalize,
                            random_family_parameters, rigidity_check)
@@ -117,18 +117,12 @@ def cmd_validate(args) -> int:
     report = RunReport(command=f"validate {args.path}")
     try:
         rack = _load_rack_file(args.path)
-    except OSError as err:
-        print(f"cannot read {args.path}: {err}", file=sys.stderr)
-        return USAGE_FAILURE
     except RackAxiomError as err:
         report.ok = False
         report.results = {"axiom": err.axiom, "witness": str(err.witness),
                           "error": str(err)}
         _finish(report, started, args.json_out)
         return MATH_FAILURE
-    except (ValueError, KeyError) as err:
-        print(f"cannot parse {args.path}: {err}", file=sys.stderr)
-        return USAGE_FAILURE
     report.rack_summary = _rack_summary(rack)
     report.results = {"valid": True}
     _finish(report, started, args.json_out)
@@ -144,23 +138,16 @@ def cmd_cohomology(args) -> int:
     report = RunReport(
         command=f"cohomology {args.path} --degree {args.degree} "
                 f"--char {args.char} --complex {args.complex}")
-    try:
-        rack = _load_rack_file(args.path)
-        ring = _field_for_char(args.char)
-    except OSError as err:
-        print(f"cannot read {args.path}: {err}", file=sys.stderr)
-        return USAGE_FAILURE
-    except (ValueError, KeyError, RackAxiomError) as err:
-        print(f"bad input: {err}", file=sys.stderr)
-        return USAGE_FAILURE
+    rack = _load_rack_file(args.path)
+    ring = _field_for_char(args.char)
     report.rack_summary = _rack_summary(rack)
     subcomplex = {"yb": "full", "diag": "diagonal", "quasidiag": "quasidiagonal"}[args.complex]
     dim = cohomology_dim(rack, ring, args.degree, subcomplex=subcomplex)
     report.results = {"degree": args.degree, "characteristic": args.char,
                       "complex": args.complex, "dimension": dim}
-    if subcomplex == "quasidiagonal":
+    if subcomplex == "quasidiagonal":  # pairs of coordinates in one behaviour class
         full_size = rack.size ** (2 * args.degree)
-        reduced = len(pair_basis(rack, args.degree, "quasidiagonal"))
+        reduced = sum(len(c) ** 2 for c in behavior_partition(rack).classes) ** args.degree
         report.results["basis_size_full"] = full_size
         report.results["basis_size_quasidiagonal"] = reduced
         report.results["basis_reduction"] = f"{full_size} -> {reduced}"
@@ -193,14 +180,19 @@ def _operator_matches_golden(rack_name: str) -> dict:
     return _matrix_matches_golden(op.matrix, rack_name)
 
 
-def _example_sections(rng) -> dict:
-    sections: dict[str, dict] = {}
+def _example_sections(seed: int) -> dict:
+    """The example battery: each section's name and the function that builds
+    it.  Only ``families`` draws from the seeded generator."""
+    return {"operators": _operators_section, "dimensions": _dimensions_section,
+            "families": lambda: _families_section(np.random.default_rng(seed)),
+            "rigidity": _rigidity_section}
 
-    operators = {}
-    for name in ("dihedral3", "quandle3", "dihedral4"):
-        operators[name] = _operator_matches_golden(name)
-    sections["operators"] = operators
 
+def _operators_section() -> dict:
+    return {name: _operator_matches_golden(name) for name in ("dihedral3", "quandle3", "dihedral4")}
+
+
+def _dimensions_section() -> dict:
     dims = {}
 
     @functools.cache  # the two tables below share 7 of their dimensions
@@ -223,8 +215,10 @@ def _example_sections(rng) -> dict:
             full, quasi = (dim_h2(rack_name, char, sub) for sub in ("full", "quasidiagonal"))
             dims[f"H2_qd=H2_full({rack_name}; F{char})"] = {
                 "got": quasi, "want": full, "match": quasi == full}
-    sections["dimensions"] = dims
+    return dims
 
+
+def _families_section(rng) -> dict:
     families = {}
     ring = parse_ring("F5[h]/h^4")
     params = {f"l{i}": ring.lift_digit(i % 5, 1) for i in range(1, 10)}
@@ -242,8 +236,10 @@ def _example_sections(rng) -> dict:
     mod2, mod3 = verdict.holds_mod(2), verdict.holds_mod(3)
     families["dihedral4-g alpha'=h (F2[h]/h^3)"] = {
         "holds_mod_h2": mod2, "holds_mod_h3": mod3, "match": mod2 and not mod3}
-    sections["families"] = families
+    return families
 
+
+def _rigidity_section() -> dict:
     rigidity = {}
     for char in (2, 3, 5):
         rep = rigidity_check(catalog.dihedral3(), PrimeField(char))
@@ -252,8 +248,7 @@ def _example_sections(rng) -> dict:
     rep = rigidity_check(catalog.quandle3(), PrimeField(2))
     rigidity["quandle3 F2"] = {"rigid": rep.rigid, "dimension": rep.dimension,
                                "match": not rep.rigid and rep.dimension == 9}
-    sections["rigidity"] = rigidity
-    return sections
+    return rigidity
 
 
 def _collect_matches(tree) -> list[bool]:
@@ -269,14 +264,11 @@ def _collect_matches(tree) -> list[bool]:
 def cmd_examples(args) -> int:
     started = time.perf_counter()
     report = RunReport(command="examples")
-    rng = np.random.default_rng(args.seed)
-    sections = _example_sections(rng)
-    if args.only:
-        if args.only not in sections:
-            print(f"unknown section {args.only!r}; choose from {sorted(sections)}",
-                  file=sys.stderr)
-            return USAGE_FAILURE
-        sections = {args.only: sections[args.only]}
+    builders = _example_sections(args.seed)
+    if args.only and args.only not in builders:
+        print(f"unknown section {args.only!r}; choose from {sorted(builders)}", file=sys.stderr)
+        return USAGE_FAILURE
+    sections = {name: build() for name, build in builders.items() if args.only in (None, name)}
     matches = _collect_matches(sections)
     report.results = {"sections": sections,
                       "checks_total": len(matches),
@@ -309,34 +301,23 @@ def _perturbed_input(rack, ring, seed: int) -> TruncatedDeformation:
 def cmd_quasidiagonalize(args) -> int:
     started = time.perf_counter()
     report = RunReport(command=f"quasidiagonalize {args.path} --ring {args.ring}")
-    try:
-        rack = _load_rack_file(args.path)
-        ring = parse_ring(args.ring)
-    except OSError as err:
-        print(f"cannot read {args.path}: {err}", file=sys.stderr)
-        return USAGE_FAILURE
-    except (ValueError, KeyError, RackAxiomError) as err:
-        print(f"bad input: {err}", file=sys.stderr)
-        return USAGE_FAILURE
+    rack = _load_rack_file(args.path)
+    ring = parse_ring(args.ring)
     if not ring.is_truncated:
         print("quasidiagonalization needs a truncated ring (F<p>[h]/h^<N> or Z/<p>^<N>)",
               file=sys.stderr)
         return USAGE_FAILURE
     report.rack_summary = _rack_summary(rack)
 
-    try:
-        if args.input:
-            with open(args.input, encoding="utf-8") as handle:
-                operator = load_operator(handle.read(), rack=rack)
-            if operator.ring != ring:
-                print("operator file ring does not match --ring", file=sys.stderr)
-                return USAGE_FAILURE
-            defm = TruncatedDeformation(rack=rack, ring=ring, operator=operator)
-        else:
-            defm = _perturbed_input(rack, ring, args.perturb)
-    except OSError as err:
-        print(f"cannot read {args.input}: {err}", file=sys.stderr)
-        return USAGE_FAILURE
+    if args.input:
+        with open(args.input, encoding="utf-8") as handle:
+            operator = load_operator(handle.read(), rack=rack)
+        if operator.ring != ring:
+            print("operator file ring does not match --ring", file=sys.stderr)
+            return USAGE_FAILURE
+        defm = TruncatedDeformation(rack=rack, ring=ring, operator=operator)
+    else:
+        defm = _perturbed_input(rack, ring, args.perturb)
 
     try:
         gauges, final = quasidiagonalize(defm)
@@ -413,7 +394,7 @@ def main(argv=None) -> int:
         return USAGE_FAILURE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_FAILURE
 

@@ -17,7 +17,10 @@ first; d_i writes its first summand and subtracts the second, adding p back
 where that goes negative, and d reduces its grid once, in place.  Over Q a
 sum that could leave int64 raises ``OverflowError``.  The matrix of d^n is
 the same incidence as coordinates.  The rack complex is its diagonal: it
-walks the same key classes at positions 1..n, slot s reading entry s.
+walks the same key classes at positions 1..n, slot s reading entry s.  The
+diagonal pairs (x, x) are numbered by x, so the diagonal coboundary matrix
+is the rack one and is built as that; so is the quasi-diagonal one when the
+rack's elements are behaviourally distinct.
 
 Coefficients: a prime field reduces entries mod p; rationals are handled
 with integer representatives (the complex maps are additive with unit
@@ -40,7 +43,7 @@ from . import linalg
 from .indexing import (decode_tuple, encode_tuple, pair_mask, position_data,
                        tuple_coordinates)
 from .linalg import ExactMatrix
-from .racks import RackTable, is_rack_homomorphism
+from .racks import RackTable, behavior_partition, is_rack_homomorphism
 from .rings import INT64_MAX, PrimeField, Rationals, Ring, ring_spec
 
 MATRIX_ENTRY_CAP = 1 << 24  # int64 codes one matrix build may hold, ~66 B each at peak
@@ -281,10 +284,17 @@ def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
     Rows are indexed by q^(2(degree+1)) output pairs, columns by q^(2 degree)
     input pairs; each row has at most 2(degree+1) nonzero entries.  A
     ``subcomplex`` "diagonal" or "quasidiagonal" keeps the rows and columns
-    of its :func:`pair_basis`.  Every build first forms 2(degree+1) q^(2 degree+1)
-    int64 pair codes; more than ``MATRIX_ENTRY_CAP`` are refused before any exists.
+    of its :func:`pair_basis`, in order.  The diagonal one, and the
+    quasi-diagonal one of a rack whose elements are behaviourally distinct,
+    is :func:`rack_coboundary_matrix`, built from 2 degree q^(degree+1) codes.
+    Every other build first forms 2(degree+1) q^(2 degree+1) int64 pair codes,
+    and the quasi-diagonal one masks them down.  A build of more than
+    ``MATRIX_ENTRY_CAP`` codes is refused before any exists.
     """
     _modulus(ring)  # reject truncated coefficient rings early
+    if subcomplex == "diagonal" or (subcomplex == "quasidiagonal"
+                                    and behavior_partition(rack).faithful):
+        return rack_coboundary_matrix(rack, ring, degree)
     q = rack.size
     if (codes := 2 * (degree + 1) * q ** min(2 * degree + 1, 64)) > MATRIX_ENTRY_CAP:
         raise SizeGuardError(codes, MATRIX_ENTRY_CAP)
@@ -346,8 +356,9 @@ def cohomology_dim(rack: RackTable, ring: Ring, degree: int,
 
     ``subcomplex`` is "full", "diagonal" or "quasidiagonal"; the latter two
     restrict both coboundary matrices to the corresponding pair basis (the
-    subcomplexes are closed under d, so this is the subcomplex cohomology).
-    Any degree is computed; d^degree is built first, so a refused size costs nothing.
+    subcomplexes are closed under d, so this is the subcomplex cohomology),
+    and the diagonal one is rack cohomology.  Any degree is computed; d^degree
+    is built first, so a refused size costs nothing.
     """
     if degree < 2:
         raise ValueError("cohomology needs degree >= 2 (uses d^(n-1) and d^n)")
@@ -400,12 +411,8 @@ def rack_coboundary_matrix(rack: RackTable, ring: Ring, degree: int) -> ExactMat
 
 
 def rack_cohomology_dim(rack: RackTable, ring: Ring, degree: int) -> int:
-    if degree < 2:
-        raise ValueError("rack cohomology dimension needs degree >= 2")
-    _modulus(ring)
-    d_high = rack_coboundary_matrix(rack, ring, degree)
-    kernel_dim = d_high.cols - linalg.rank(d_high)
-    return kernel_dim - linalg.rank(rack_coboundary_matrix(rack, ring, degree - 1))
+    """The dimension of rack cohomology, which is that of the diagonal subcomplex."""
+    return cohomology_dim(rack, ring, degree, "diagonal")
 
 
 def diagonal_part(f: Cochain) -> RackCochain:

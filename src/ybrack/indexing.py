@@ -87,22 +87,20 @@ def class_coordinates(rack: RackTable, length: int) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def pair_mask(rack: RackTable, length: int, mode: str) -> np.ndarray:
-    """Boolean (q^length, q^length) mask of componentwise related pairs.
+    """Read-only boolean (q^length, q^length) mask of componentwise related pairs.
 
-    mode "diagonal": coordinates equal; mode "quasidiagonal": coordinates
-    behaviourally equivalent.
+    mode "diagonal": coordinates equal, so the tuples are, and the mask is
+    the identity; mode "quasidiagonal": coordinates behaviourally equivalent.
     """
-    q = rack.size
-    size = q**length
-    mask = np.ones((size, size), dtype=bool)
+    size = rack.size**length
     if mode == "diagonal":
-        sides = tuple_coordinates(q, length)
+        mask = np.eye(size, dtype=bool)
     elif mode == "quasidiagonal":
-        sides = class_coordinates(rack, length)
+        mask = np.ones((size, size), dtype=bool)
+        for side in class_coordinates(rack, length):
+            mask &= np.equal.outer(side, side)
     else:
         raise ValueError(f"unknown mask mode {mode!r}")
-    for side in sides:
-        mask &= np.equal.outer(side, side)
     mask.setflags(write=False)
     return mask
 

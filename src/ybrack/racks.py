@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class RackAxiomError(ValueError):
@@ -96,7 +95,6 @@ def validate(table, require_quandle: bool = False) -> RackTable:
     return RackTable(table=table, quandle=quandle)
 
 
-@lru_cache(maxsize=None)
 def inverse_op(rack: RackTable) -> tuple[tuple[int, ...], ...]:
     """Table of the inverse operation: z = x *bar y iff z * y = x."""
     n = rack.size
@@ -117,7 +115,6 @@ class InnerGroup:
     """Closure of the right translations under composition and inverse."""
 
     elements: tuple[tuple[int, ...], ...]
-    rho: tuple[int, ...]  # rho[a] = index of the translation by a
 
     @property
     def order(self) -> int:
@@ -136,7 +133,6 @@ def _invert(f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def inner_group(rack: RackTable) -> InnerGroup:
     """Breadth-first closure of {rho(a)} under composition."""
     n = rack.size
@@ -164,9 +160,7 @@ def inner_group(rack: RackTable) -> InnerGroup:
                         raise OverflowError(
                             f"inner group exceeds cap of {INNER_GROUP_CAP} elements")
         frontier = new_frontier
-    index = {perm: k for k, perm in enumerate(elements)}
-    rho = tuple(index[rack.column(a)] for a in range(n))
-    return InnerGroup(elements=tuple(elements), rho=rho)
+    return InnerGroup(elements=tuple(elements))
 
 
 @dataclass(frozen=True)
@@ -181,7 +175,6 @@ class BehaviorPartition:
         return all(len(c) == 1 for c in self.classes)
 
 
-@lru_cache(maxsize=None)
 def behavior_partition(rack: RackTable) -> BehaviorPartition:
     seen: dict[tuple[int, ...], int] = {}
     class_index = []

@@ -10,6 +10,8 @@ import ybrack as yb
 from ybrack import cochains
 from ybrack.cli import main
 
+from conftest import small_rack_sample
+
 DATA = Path(__file__).resolve().parent.parent / "src" / "ybrack" / "data"
 
 
@@ -231,12 +233,15 @@ def test_cohomology_in_degree_4(capsys, tmp_path, char, dimension):
 
 
 def test_a_degree_over_the_size_cap_exits_2_before_building(capsys):
-    started = time.perf_counter()
-    code, _, err = run_cli(
-        ["cohomology", str(DATA / "dihedral4.rack"), "--degree", "5", "--char", "2"], capsys)
-    assert time.perf_counter() - started < 0.5
-    assert code == 2
-    assert f"50,331,648 pair codes exceeds the cap {cochains.MATRIX_ENTRY_CAP:,}" in err
+    # dihedral4 has behaviour classes of two, so its quasi-diagonal d^5 is masked down
+    # from the full build's codes
+    for complex_ in ("yb", "quasidiag"):
+        started = time.perf_counter()
+        code, _, err = run_cli(["cohomology", str(DATA / "dihedral4.rack"), "--degree", "5",
+                                "--char", "2", "--complex", complex_], capsys)
+        assert time.perf_counter() - started < 0.5
+        assert code == 2
+        assert f"50,331,648 pair codes exceeds the cap {cochains.MATRIX_ENTRY_CAP:,}" in err
 
 
 def test_console_entry_point_runs():
@@ -315,3 +320,53 @@ def test_rings_beyond_int64_exit_2(capsys):
     code, _, err = run_cli(
         ["cohomology", str(DATA / "quandle3.rack"), "--char", str(2**63 + 29)], capsys)
     assert code == 2 and "does not fit in int64" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "{missing}", "--degree", "2"],
+    ["quasidiagonalize", "{missing}", "--ring", "F2[h]/h^2"],
+    ["quasidiagonalize", str(DATA / "quandle3.rack"), "--ring", "F2[h]/h^2", "--input", "{missing}"],
+], ids=["cohomology", "quasidiagonalize", "input"])
+def test_a_missing_file_exits_2_and_names_its_path(capsys, tmp_path, argv):
+    missing = str(tmp_path / "absent.txt")
+    code, _, err = run_cli([a.replace("{missing}", missing) for a in argv], capsys)
+    assert code == 2 and missing in err
+
+
+@pytest.mark.parametrize("only, code", [("rigidity", 0), ("nope", 2)])
+def test_examples_builds_only_the_named_section(capsys, monkeypatch, only, code):
+    # the dimensions section alone calls cohomology_dim (25 times); nothing is built for "nope"
+    import ybrack.cli as cli
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return yb.cohomology_dim(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cohomology_dim", counting)
+    assert run_cli(["examples", "--only", only], capsys)[0] == code
+    assert made == []
+
+
+def test_the_reported_quasidiagonal_basis_size_is_the_pair_basis(capsys, monkeypatch, tmp_path):
+    import ybrack.cli as cli
+    monkeypatch.setattr(cli, "cohomology_dim", lambda *args, **kwargs: 0)
+    path = tmp_path / "rack.rack"
+    for rack in small_rack_sample():
+        path.write_text(yb.dump_rack(rack))
+        for degree in (1, 2, 3):
+            code, out, _ = run_cli(["cohomology", str(path), "--degree", str(degree),
+                                    "--complex", "quasidiag"], capsys)
+            size = len(yb.pair_basis(rack, degree, "quasidiagonal"))
+            assert code == 0 and f"basis_size_quasidiagonal: {size}\n" in out, rack.table
+
+
+@pytest.mark.parametrize("rack, degree, char, complex_, lines", [
+    ("dihedral3", 6, 3, "quasidiag", ["dimension: 12", "basis_reduction: 531441 -> 729"]),
+    ("dihedral4", 5, 2, "diag", ["dimension: 120"]),
+])
+def test_the_rack_build_admits_degrees_the_masked_build_refuses(capsys, rack, degree, char,
+                                                                  complex_, lines):
+    code, out, _ = run_cli(["cohomology", str(DATA / f"{rack}.rack"), "--degree", str(degree),
+                            "--char", str(char), "--complex", complex_], capsys)
+    assert code == 0 and all(line in out for line in lines)

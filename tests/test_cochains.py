@@ -119,9 +119,11 @@ def test_coboundary_matrix_agrees_with_coboundary():
 
 
 def test_restricted_coboundary_matrix_is_the_submatrix():
+    # the diagonal matrix, and the quasi-diagonal one of a rack whose elements are
+    # behaviourally distinct, come from the rack build: the restricted full matrix checks it
     for rack in small_rack_sample():
         for ring in (F3, QQ):
-            for n in sample_degrees(rack):
+            for n in (0, *sample_degrees(rack), *((4,) if rack.size <= 3 else ())):
                 full = yb.coboundary_matrix(rack, ring, n)
                 for mode in ("diagonal", "quasidiagonal"):
                     restricted = yb.coboundary_matrix(rack, ring, n, subcomplex=mode)
@@ -166,18 +168,24 @@ def test_size_guard(monkeypatch):
 
 
 def test_the_size_guard_counts_the_pair_codes_a_build_allocates(monkeypatch):
-    # 2(n+1) q^(2n+1) pair codes for d^n in every subcomplex, 2n q^(n+1) for the rack d^n
-    rack = yb.catalog.dihedral3()
-    for mode in ("full", "diagonal", "quasidiagonal"):
+    # 2(n+1) q^(2n+1) pair codes for the full d^n and for the masked quasi-diagonal d^n
+    # of a rack with a behaviour class of two or more; 2n q^(n+1) for the rack d^n,
+    # which is also every diagonal d^n and the quasi-diagonal d^n of dihedral3
+    dihedral3, quandle3 = yb.catalog.dihedral3(), yb.catalog.quandle3()
+    for rack, mode in [(dihedral3, "full"), (quandle3, "full"), (quandle3, "quasidiagonal")]:
         monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", 6 * 3**5)
         assert yb.coboundary_matrix(rack, F2, 2, mode).nnz() > 0
         monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", 6 * 3**5 - 1)
         with pytest.raises(yb.SizeGuardError, match="1,458 pair codes exceeds the cap 1,457"):
             yb.coboundary_matrix(rack, F2, 2, mode)
     monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", 6 * 3**4)
-    assert yb.rack_coboundary_matrix(rack, F2, 3).rows == 81
-    with pytest.raises(yb.SizeGuardError, match="1,944 pair codes exceeds the cap 486"):
-        yb.rack_coboundary_matrix(rack, F2, 4)
+    for build in (lambda n: yb.rack_coboundary_matrix(dihedral3, F2, n),
+                  lambda n: yb.coboundary_matrix(dihedral3, F2, n, "diagonal"),
+                  lambda n: yb.coboundary_matrix(dihedral3, F2, n, "quasidiagonal"),
+                  lambda n: yb.coboundary_matrix(quandle3, F2, n, "diagonal")):
+        assert build(3).rows == 81
+        with pytest.raises(yb.SizeGuardError, match="1,944 pair codes exceeds the cap 486"):
+            build(4)
 
 
 def test_an_absurd_degree_is_refused_without_forming_its_count():
@@ -197,9 +205,13 @@ def test_an_absurd_degree_is_refused_without_forming_its_count():
     (yb.cohomology_dim, yb.catalog.dihedral4, 5, 50_331_648),
     (yb.cohomology_dim, yb.catalog.dihedral3, 6, 22_320_522),
     (yb.rack_cohomology_dim, lambda: yb.dihedral_quandle(5), 9, 18 * 5**10),
-], ids=["dihedral9-d3", "dihedral5-d4", "dihedral4-d5", "dihedral3-d6", "rack-dihedral5-d9"])
+    (lambda *args: yb.cohomology_dim(*args, "quasidiagonal"), yb.catalog.dihedral4, 5, 50_331_648),
+], ids=["dihedral9-d3", "dihedral5-d4", "dihedral4-d5", "dihedral3-d6", "rack-dihedral5-d9",
+        "quasidiagonal-dihedral4-d5"])
 def test_a_matrix_over_the_cap_is_refused_before_it_is_built(dim, make, degree, codes):
-    # d^n is built before d^(n-1), so the refusal comes before any array of either
+    # d^n is built before d^(n-1), so the refusal comes before any array of either; the
+    # quasi-diagonal complex of dihedral4, whose behaviour classes have two elements, is
+    # masked down from the full codes
     rack = make()
     tracemalloc.start()
     try:
@@ -211,6 +223,20 @@ def test_a_matrix_over_the_cap_is_refused_before_it_is_built(dim, make, degree, 
     assert (refused.value.codes, refused.value.cap) == (codes, cochains.MATRIX_ENTRY_CAP)
     assert f"{codes:,} pair codes exceeds the cap {cochains.MATRIX_ENTRY_CAP:,}" in str(refused.value)
     assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("mode", ["diagonal", "quasidiagonal"])
+def test_dihedral3_builds_its_d6_from_the_rack_codes(mode):
+    # 2 * 6 * 3^7 = 26,244 codes, about 1.7 MB at 66 B each (1.6-1.8 MB measured); the
+    # masked build would form 22,320,522, which is over the cap
+    tracemalloc.start()
+    try:
+        matrix = yb.coboundary_matrix(yb.catalog.dihedral3(), F3, 6, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (matrix.rows, matrix.cols) == (3**7, 3**6)
+    assert peak < 4 * 1024 * 1024, peak
 
 
 def test_full_h4_equals_quasidiagonal_h4_on_the_sample_up_to_size_3():

@@ -34,8 +34,7 @@ from .cochains import (Cochain, CoefficientError, RackCochain, SizeGuardError,
                        is_entropic, is_fully_equivariant, pair_basis,
                        partial_coboundary, project_diagonal,
                        project_quasidiagonal, pullback, rack_coboundary,
-                       rack_coboundary_matrix, rack_cohomology_dim,
-                       vector_to_cochain, zero_cochain)
+                       rack_cohomology_dim, vector_to_cochain, zero_cochain)
 from .chains import (Chain, boundary, chain_from_entries, dump_chain,
                      pairing, partial_boundary, zero_chain)
 from .homotopy import (FiltrationError, NotACocycleError, PostconditionError,

@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import islice
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .cochains import cohomology_dim
 from .deformations import (TruncatedDeformation, YBEFailure, check_family_claims,
                            instantiate_family, off_quasidiagonal_counts, quasidiagonalize,
                            random_family_parameters, rigidity_check)
+from .indexing import pair_numberings
 from .operators import (GaugeTransform, check_ybe, deform, dump_operator,
                         gauge_conjugate, load_operator, rack_operator)
 from .racks import RackAxiomError, behavior_partition, inner_group, load_rack
@@ -147,7 +149,7 @@ def cmd_cohomology(args) -> int:
                       "complex": args.complex, "dimension": dim}
     if subcomplex == "quasidiagonal":  # pairs of coordinates in one behaviour class
         full_size = rack.size ** (2 * args.degree)
-        reduced = sum(len(c) ** 2 for c in behavior_partition(rack).classes) ** args.degree
+        reduced = int(next(islice(pair_numberings(rack, subcomplex), args.degree, None))[1][-1])
         report.results["basis_size_full"] = full_size
         report.results["basis_size_quasidiagonal"] = reduced
         report.results["basis_reduction"] = f"{full_size} -> {reduced}"

@@ -16,11 +16,10 @@ no gather, in cache-sized chunks of classes.  Over F_p the input is reduced
 first; d_i writes its first summand and subtracts the second, adding p back
 where that goes negative, and d reduces its grid once, in place.  Over Q a
 sum that could leave int64 raises ``OverflowError``.  The matrix of d^n is
-the same incidence as coordinates.  The rack complex is its diagonal: it
-walks the same key classes at positions 1..n, slot s reading entry s.  The
-diagonal pairs (x, x) are numbered by x, so the diagonal coboundary matrix
-is the rack one and is built as that; so is the quasi-diagonal one when the
-rack's elements are behaviourally distinct.
+the same incidence as coordinates, on the basis pairs of the full, diagonal
+or quasi-diagonal complex, each numbered from a partition of Q by
+:func:`ybrack.indexing.pair_numberings`.  The rack complex is the diagonal
+one: it walks the same key classes at positions 1..n, slot s reading entry s.
 
 Coefficients: a prime field reduces entries mod p; rationals are handled
 with integer representatives (the complex maps are additive with unit
@@ -36,14 +35,15 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import linalg
-from .indexing import (decode_tuple, encode_tuple, pair_mask, position_data,
-                       tuple_coordinates)
+from .indexing import (decode_tuple, encode_tuple, pair_mask, pair_numberings,
+                       position_data, tuple_coordinates)
 from .linalg import ExactMatrix
-from .racks import RackTable, behavior_partition, is_rack_homomorphism
+from .racks import RackTable, is_rack_homomorphism
 from .rings import INT64_MAX, PrimeField, Rationals, Ring, ring_spec
 
 MATRIX_ENTRY_CAP = 1 << 24  # int64 codes one matrix build may hold, ~66 B each at peak
@@ -52,7 +52,7 @@ CHUNK_PAIRS = 1 << 16   # output pairs per chunk of a coboundary summand
 
 class SizeGuardError(ValueError):
     def __init__(self, codes, cap):
-        self.codes = codes  # exact below 2^64: the counts stop their power at q^64
+        self.codes = codes  # exact below 2^64: the count stops its power at the 64th
         self.cap = cap
         count = f"{codes:,}" if codes < 2**64 else "over 2^64"
         super().__init__(f"a coboundary matrix of {count} pair codes exceeds the cap {cap:,}")
@@ -220,11 +220,6 @@ def identity_cochain(rack: RackTable, degree: int, ring: Ring) -> Cochain:
 
 # -- coboundary ----------------------------------------------------------------
 
-def _pair_codes(codes: np.ndarray, side: int) -> np.ndarray:
-    """Codes x * side + y of every pair (x, y) within each last-axis group."""
-    return codes[..., :, None] * side + codes[..., None, :]
-
-
 def _summands(rack: RackTable, length: int, i: int):
     """Yield (sign, rows) for the two summands of the i-th partial coboundary
     into ``length``-tuples: input pair (s, t) reaches output pair rows[c, s, t]
@@ -236,7 +231,8 @@ def _summands(rack: RackTable, length: int, i: int):
     side_in = members.shape[1]
     per = max(CHUNK_PAIRS // side_in**2, 1)
     for lo in range(0, 2 * q, per):
-        rows = _pair_codes(members[lo:lo + per], side_in * q)
+        chunk = members[lo:lo + per]
+        rows = chunk[:, :, None] * (side_in * q) + chunk[:, None, :]
         cut = max(q - lo, 0)  # classes below q are the drop summand's
         if cut:
             yield 1, rows[:cut]
@@ -277,45 +273,50 @@ def coboundary(f: Cochain) -> Cochain:
     return Cochain(f.rack, f.degree + 1, f.ring, _reduce(out.reshape(side, side), f.ring))
 
 
+def _partners(block: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Per first tuple x, in numbering order, the tuples of x's class tuple."""
+    grouped = block.argsort(kind="stable")  # tuples by class tuple, in code order
+    start = np.empty_like(grouped)
+    start[grouped] = np.arange(grouped.size)
+    return grouped[(start[block] - offset[:-1]).repeat(offset[1:] - offset[:-1])
+                   + np.arange(offset[-1])]
+
+
 def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
                       subcomplex: str = "full") -> ExactMatrix:
-    """Sparse matrix of d^degree in the pair-code basis.
+    """Sparse matrix of d^degree on the basis pairs of the ``subcomplex``
+    "full", "diagonal" or "quasidiagonal" of :func:`pair_numberings`.
 
-    Rows are indexed by q^(2(degree+1)) output pairs, columns by q^(2 degree)
-    input pairs; each row has at most 2(degree+1) nonzero entries.  A
-    ``subcomplex`` "diagonal" or "quasidiagonal" keeps the rows and columns
-    of its :func:`pair_basis`, in order.  The diagonal one, and the
-    quasi-diagonal one of a rack whose elements are behaviourally distinct,
-    is :func:`rack_coboundary_matrix`, built from 2 degree q^(degree+1) codes.
-    Every other build first forms 2(degree+1) q^(2 degree+1) int64 pair codes,
-    and the quasi-diagonal one masks them down.  A build of more than
-    ``MATRIX_ENTRY_CAP`` codes is refused before any exists.
-    """
+    Basis input pair (s, t) reaches (X, Y) = (members[c, s], members[c, t])
+    in each key class c of :func:`position_data` at positions 0..n, row
+    offset[X] + inner[Y]: 2(n+1) q N_n codes for N_n = N_1^n input pairs, a
+    count over ``MATRIX_ENTRY_CAP`` refused before any exists.  An (X, Y) of
+    two class tuples is refused.  On a quasi-diagonal pair both summands at
+    position 0 reach one (X, Y) with opposite signs, and ``from_coo`` cancels
+    them: the diagonal d^n is the rack one."""
     _modulus(ring)  # reject truncated coefficient rings early
-    if subcomplex == "diagonal" or (subcomplex == "quasidiagonal"
-                                    and behavior_partition(rack).faithful):
-        return rack_coboundary_matrix(rack, ring, degree)
     q = rack.size
-    if (codes := 2 * (degree + 1) * q ** min(2 * degree + 1, 64)) > MATRIX_ENTRY_CAP:
+    found = list(islice(numberings := pair_numberings(rack, subcomplex), 2))  # lengths 0 and 1
+    if (codes := 2 * (degree + 1) * q * int(found[1][1][-1]) ** min(degree, 64)) > MATRIX_ENTRY_CAP:
         raise SizeGuardError(codes, MATRIX_ENTRY_CAP)
-    out_dim, in_dim = q ** (2 * (degree + 1)), q ** (2 * degree)
-    members = [position_data(rack, degree + 1, i) for i in range(degree + 1)]
-    rows = _pair_codes(np.stack(members), q ** (degree + 1))
-    cols = np.tile(np.arange(in_dim), rows.size // in_dim)  # slot pairs are input pairs
+    found += islice(numberings, degree)
+    (block_in, offset_in, _), (block, offset, inner) = found[degree:]
+    partners = _partners(block_in, offset_in)
+    members = np.array([position_data(rack, degree + 1, i) for i in range(degree + 1)])
+    members = members.reshape(-1, q**degree)  # rows: position, summand, key
+    classes = block[members]
+    if (leaving := classes != classes[:, block_in]).any():
+        row, t = np.argwhere(leaving)[0].tolist()
+        pair_in, pair_out = ([decode_tuple(q, int(c[s]), n) for s in (block_in[t], t)] for c, n
+                             in ((np.arange(q**degree), degree), (members[row], degree + 1)))
+        raise ValueError(f"the {subcomplex} d^{degree} sends {pair_in} out, to {pair_out}")
+    rows = offset[members].repeat(offset_in[1:] - offset_in[:-1], axis=1)
+    rows += inner[members][:, partners]
+    cols = np.arange(partners.size)[None].repeat(members.shape[0], axis=0)
     # summand s of position i enters with sign (-1)^(i+s)
-    signs = np.array([[(-1) ** (i + s) for s in (0, 1)] for i in range(degree + 1)])
-    signs = np.broadcast_to(signs[:, :, None, None, None], rows.shape).reshape(-1)
-    rows, cols = rows.reshape(-1), cols.reshape(-1)
-    if subcomplex != "full":
-        mask_out = pair_mask(rack, degree + 1, subcomplex).reshape(-1)
-        mask_in = pair_mask(rack, degree, subcomplex).reshape(-1)
-        keep = mask_out[rows] & mask_in[cols]
-        basis_out, basis_in = np.flatnonzero(mask_out), np.flatnonzero(mask_in)
-        rows = np.searchsorted(basis_out, rows[keep])
-        cols = np.searchsorted(basis_in, cols[keep])
-        signs = signs[keep]
-        out_dim, in_dim = basis_out.size, basis_in.size
-    return ExactMatrix.from_coo(ring, out_dim, in_dim, rows, cols, signs)
+    signs = np.array([(-1) ** (i + s) for i in range(degree + 1) for s in (0, 1)])
+    return ExactMatrix.from_coo(ring, int(offset[-1]), partners.size, rows.reshape(-1),
+                                cols.reshape(-1), signs.repeat(q * partners.size))
 
 
 def cochain_to_vector(f: Cochain) -> list:
@@ -336,13 +337,15 @@ def vector_to_cochain(rack: RackTable, degree: int, ring: Ring, vec) -> Cochain:
 # -- subcomplexes ----------------------------------------------------------------
 
 def pair_basis(rack: RackTable, degree: int, mode: str) -> list[int]:
-    """Pair codes spanning the diagonal or quasi-diagonal subcomplex, sorted."""
-    return np.flatnonzero(pair_mask(rack, degree, mode)).tolist()
+    """Pair codes x q^degree + y of the basis pairs of the subcomplex ``mode``,
+    sorted: the rows or columns of its :func:`coboundary_matrix`."""
+    block, offset, _ = next(islice(pair_numberings(rack, mode), degree, None))
+    firsts = np.arange(block.size).repeat(offset[1:] - offset[:-1])
+    return (firsts * block.size + _partners(block, offset)).tolist()
 
 
 def project_diagonal(f: Cochain) -> Cochain:
-    mask = pair_mask(f.rack, f.degree, "diagonal")
-    return Cochain(f.rack, f.degree, f.ring, f.values * mask)
+    return Cochain(f.rack, f.degree, f.ring, f.values * pair_mask(f.rack, f.degree, "diagonal"))
 
 
 def project_quasidiagonal(f: Cochain) -> Cochain:
@@ -375,39 +378,17 @@ class RackCochain(_CoefficientArray):
     axes = 1
 
 
-def _rack_summands(rack: RackTable, length: int):
-    """Yield (sign, classes) for the drop and conj summands of the rack
-    coboundary into ``length``-tuples, slot s of each class reading input s:
-    the diagonal slots of the Yang-Baxter summands at positions 1..length-1
-    (at position 0 the two summands cancel on the diagonal)."""
-    for i in range(1, length):
-        classes = position_data(rack, length, i)
-        yield (-1) ** i, classes[0]
-        yield -(-1) ** i, classes[1]
-
-
 def rack_coboundary(lam: RackCochain) -> RackCochain:
-    """Alternating sum over i = 1..n of lam(drop i) - lam(conjugate prefix, drop i)."""
+    """Alternating sum over i = 1..n of lam(drop i) - lam(conjugate prefix, drop i):
+    slot s of the key classes reads entry s (position 0 cancels on the diagonal)."""
     n = lam.degree
     values = _summable(lam.values, lam.ring, 2 * n)
     total = np.zeros(lam.rack.size ** (n + 1), dtype=np.int64)
-    for sign, classes in _rack_summands(lam.rack, n + 1):
-        total[classes] += sign * values
+    for i in range(1, n + 1):
+        drop, conj = position_data(lam.rack, n + 1, i)
+        total[drop] += (-1) ** i * values
+        total[conj] -= (-1) ** i * values
     return RackCochain(lam.rack, n + 1, lam.ring, _reduce(total, lam.ring))
-
-
-def rack_coboundary_matrix(rack: RackTable, ring: Ring, degree: int) -> ExactMatrix:
-    """Sparse matrix of the rack coboundary on degree-n cochains: row
-    classes[k, s] meets column s once per summand, with the summand's sign;
-    its 2n q^(n+1) row codes are held to ``MATRIX_ENTRY_CAP``."""
-    q = rack.size
-    if (codes := 2 * degree * q ** min(degree + 1, 64)) > MATRIX_ENTRY_CAP:
-        raise SizeGuardError(codes, MATRIX_ENTRY_CAP)
-    summands = list(_rack_summands(rack, degree + 1))
-    rows = np.array([classes for _, classes in summands], dtype=np.int64).reshape(-1)
-    cols = np.tile(np.arange(q**degree), 2 * degree * q)
-    signs = np.repeat([sign for sign, _ in summands], q ** (degree + 1))
-    return ExactMatrix.from_coo(ring, q ** (degree + 1), q**degree, rows, cols, signs)
 
 
 def rack_cohomology_dim(rack: RackTable, ring: Ring, degree: int) -> int:

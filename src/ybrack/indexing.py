@@ -23,6 +23,7 @@ breaks Q2 is refused.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -85,22 +86,36 @@ def class_coordinates(rack: RackTable, length: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+def pair_numberings(rack: RackTable, subcomplex: str):
+    """Yield, for L = 0, 1, 2, ..., the numbering of the basis pairs (X, Y) of
+    L-tuples of a subcomplex, read from a partition of the rack: one class
+    ("full"), singletons ("diagonal"), the behaviour classes ("quasidiagonal").
+    X and Y have one class tuple; (X, Y) is number offset[X] + inner[Y], in
+    pair-code order (X q^L + Y for one class, X for singletons).  Per tuple:
+    ``block``, the smallest tuple of its class tuple; ``offset``, the count of
+    basis pairs of smaller first tuples, the basis size appended; ``inner``,
+    its positions in its classes in mixed radix."""
+    q = rack.size
+    if subcomplex not in ("full", "diagonal", "quasidiagonal"):
+        raise ValueError(f"unknown subcomplex {subcomplex!r}")
+    classes = (behavior_partition(rack).classes if subcomplex == "quasidiagonal"
+               else [range(q)] if subcomplex == "full" else [[x] for x in range(q)])
+    where = {x: (c[0], len(c), k) for c in classes for k, x in enumerate(c)}
+    least, size, rank = zip(*map(where.get, range(q)))
+    # block, width (the basis pairs per first tuple) and inner, one digit per coordinate
+    radix, digit = np.array([[[q] * q, size, size], [least, [0] * q, rank]])[:, :, None]
+    table = np.array([[0], [1], [0]])
+    while True:
+        yield table[0], np.concatenate(([0], table[1].cumsum())), table[2]
+        table = (table[:, :, None] * radix + digit).reshape(3, -1)
+
+
 @lru_cache(maxsize=None)
 def pair_mask(rack: RackTable, length: int, mode: str) -> np.ndarray:
-    """Read-only boolean (q^length, q^length) mask of componentwise related pairs.
-
-    mode "diagonal": coordinates equal, so the tuples are, and the mask is
-    the identity; mode "quasidiagonal": coordinates behaviourally equivalent.
-    """
-    size = rack.size**length
-    if mode == "diagonal":
-        mask = np.eye(size, dtype=bool)
-    elif mode == "quasidiagonal":
-        mask = np.ones((size, size), dtype=bool)
-        for side in class_coordinates(rack, length):
-            mask &= np.equal.outer(side, side)
-    else:
-        raise ValueError(f"unknown mask mode {mode!r}")
+    """Read-only boolean (q^length, q^length) mask of the basis pairs of the
+    subcomplex ``mode``: the pairs of one class tuple (the identity if "diagonal")."""
+    block = next(islice(pair_numberings(rack, mode), length, None))[0]
+    mask = np.equal.outer(block, block)
     mask.setflags(write=False)
     return mask
 

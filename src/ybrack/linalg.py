@@ -215,7 +215,7 @@ def _blocks(mat: ExactMatrix):
     if isinstance(ring, PrimeField):
         vals = mat._vals % ring.p
     else:
-        vals = _scaled_rows(row, mat._vals.tolist())
+        vals = _scaled_rows(row, mat._vals)
     label = _components(row, col + mat.rows, mat.rows + mat.cols)[row]
     order = np.argsort(label, kind="stable")
     row, col, vals, label = row[order], col[order], vals[order], label[order]
@@ -330,7 +330,7 @@ def _unit_pivots(mat: ExactMatrix) -> tuple[int, ExactMatrix]:
     rows, cols = mat.rows, mat.cols
     keys = mat._keys
     prime = isinstance(ring, PrimeField)
-    vals = mat._vals if prime else _scaled_rows(keys // max(cols, 1), mat._vals.tolist())
+    vals = mat._vals if prime else _scaled_rows(keys // max(cols, 1), mat._vals)
     unit = ring.p - 1 if prime else -1
     count = 0
     while vals.size and vals.dtype != object:

@@ -134,21 +134,24 @@ def _rref_mod_p(a: np.ndarray, p: int):
     return _rref(a, step)
 
 
-def _scaled_rows(row: np.ndarray, values: list) -> np.ndarray:
-    """Rational entries as integers, each row scaled by the lcm of its
-    denominators (``row`` gives each value's row): int64 when every value
-    fits, else Python ints."""
-    nums = [v.numerator for v in values]
-    dens = [v.denominator for v in values]
-    if any(d != 1 for d in dens):
+def _scaled_rows(row: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rational entries (an object array) as integers, each row scaled by the lcm of
+    its denominators (``row`` gives each value's row): int64 when every value fits,
+    else Python ints.  Each object is read once; ``from_coo`` shares one per value."""
+    ids = np.fromiter(map(id, values), dtype=np.uint64, count=values.size)
+    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
+    nums, dens = (np.array([getattr(v, part) for v in values[first]], dtype=object)
+                  for part in ("numerator", "denominator"))
+    if (dens != 1).any():  # true fractions: scale entry by entry
+        nums, dens, index = nums[index], dens[index], slice(None)
         lcm: dict[int, int] = {}
-        for i, d in zip(row.tolist(), dens):
+        for i, d in zip(row.tolist(), dens.tolist()):
             lcm[i] = math.lcm(lcm.get(i, 1), d)
-        nums = [n * (lcm[i] // d) for i, n, d in zip(row.tolist(), nums, dens)]
+        nums = nums * np.array([lcm[i] for i in row.tolist()], dtype=object) // dens
     try:
-        return np.array(nums, dtype=np.int64)
+        return nums.astype(np.int64)[index]
     except OverflowError:
-        return np.array(nums, dtype=object)
+        return nums[index]
 
 
 def _magnitude(x: np.ndarray) -> int:
@@ -421,7 +424,7 @@ class Rationals(Ring):
         a reduced row over its pivot entry is the RREF row."""
         n = mat.shape[0]
         aug = np.concatenate([mat, self.eye(n)], axis=1)
-        grid = _scaled_rows(np.repeat(np.arange(n), 2 * n), aug.reshape(-1).tolist())
+        grid = _scaled_rows(np.repeat(np.arange(n), 2 * n), aug.reshape(-1))
         reduced, pivots = _rref_over_z(grid.reshape(n, 2 * n))
         if pivots != list(range(n)):
             raise NotAUnitError(mat)

@@ -26,6 +26,19 @@ def all_tuples(q, n):
     return list(product(range(q), repeat=n))
 
 
+def pair_basis_longhand(rack, n, mode):
+    """Sorted pair codes of the diagonal or quasi-diagonal subcomplex: the
+    pairs of n-tuples whose coordinates are equal, or have equal columns of
+    the table (act alike), position by position."""
+    q = rack.size
+    column = [rack.column(a) for a in range(q)]
+    related = {"diagonal": lambda a, b: a == b,
+               "quasidiagonal": lambda a, b: column[a] == column[b]}[mode]
+    tuples = all_tuples(q, n)
+    return [x * q**n + y for x, xs in enumerate(tuples) for y, ys in enumerate(tuples)
+            if all(map(related, xs, ys))]
+
+
 def act_through(rack, element, suffix):
     """element acted on by each suffix coordinate in turn, left to right."""
     for y in suffix:

@@ -233,15 +233,15 @@ def test_cohomology_in_degree_4(capsys, tmp_path, char, dimension):
 
 
 def test_a_degree_over_the_size_cap_exits_2_before_building(capsys):
-    # dihedral4 has behaviour classes of two, so its quasi-diagonal d^5 is masked down
-    # from the full build's codes
-    for complex_ in ("yb", "quasidiag"):
+    # the full d^5 of dihedral4 holds 2 * 6 * 4 * 4^10 codes; its quasi-diagonal complex,
+    # with behaviour classes of two, holds 2 * 8 * 4 * 8^7 codes at d^7
+    for complex_, degree, codes in [("yb", 5, "50,331,648"), ("quasidiag", 7, "134,217,728")]:
         started = time.perf_counter()
-        code, _, err = run_cli(["cohomology", str(DATA / "dihedral4.rack"), "--degree", "5",
-                                "--char", "2", "--complex", complex_], capsys)
+        code, _, err = run_cli(["cohomology", str(DATA / "dihedral4.rack"), "--degree",
+                                str(degree), "--char", "2", "--complex", complex_], capsys)
         assert time.perf_counter() - started < 0.5
         assert code == 2
-        assert f"50,331,648 pair codes exceeds the cap {cochains.MATRIX_ENTRY_CAP:,}" in err
+        assert f"{codes} pair codes exceeds the cap {cochains.MATRIX_ENTRY_CAP:,}" in err
 
 
 def test_console_entry_point_runs():
@@ -364,6 +364,7 @@ def test_the_reported_quasidiagonal_basis_size_is_the_pair_basis(capsys, monkeyp
 @pytest.mark.parametrize("rack, degree, char, complex_, lines", [
     ("dihedral3", 6, 3, "quasidiag", ["dimension: 12", "basis_reduction: 531441 -> 729"]),
     ("dihedral4", 5, 2, "diag", ["dimension: 120"]),
+    ("dihedral4", 5, 2, "quasidiag", ["dimension: 2240", "basis_reduction: 1048576 -> 32768"]),
 ])
 def test_the_rack_build_admits_degrees_the_masked_build_refuses(capsys, rack, degree, char,
                                                                   complex_, lines):

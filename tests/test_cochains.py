@@ -12,7 +12,7 @@ import pytest
 import ybrack as yb
 from ybrack import cochains, linalg
 from ybrack.cochains import sub as csub, cochain_to_vector
-from ybrack.indexing import decode_tuple
+from ybrack.indexing import decode_tuple, pair_mask
 
 import oracles
 from conftest import cochain_dict, random_cochain, sample_degrees, small_rack_sample
@@ -119,18 +119,39 @@ def test_coboundary_matrix_agrees_with_coboundary():
 
 
 def test_restricted_coboundary_matrix_is_the_submatrix():
-    # the diagonal matrix, and the quasi-diagonal one of a rack whose elements are
-    # behaviourally distinct, come from the rack build: the restricted full matrix checks it
+    # each subcomplex is built from its own numbering of the basis pairs: the restricted
+    # full matrix, on the rows and columns of the longhand pair basis, checks it
     for rack in small_rack_sample():
         for ring in (F3, QQ):
             for n in (0, *sample_degrees(rack), *((4,) if rack.size <= 3 else ())):
                 full = yb.coboundary_matrix(rack, ring, n)
                 for mode in ("diagonal", "quasidiagonal"):
                     restricted = yb.coboundary_matrix(rack, ring, n, subcomplex=mode)
-                    want = full.submatrix(yb.pair_basis(rack, n + 1, mode),
-                                          yb.pair_basis(rack, n, mode))
+                    want = full.submatrix(oracles.pair_basis_longhand(rack, n + 1, mode),
+                                          oracles.pair_basis_longhand(rack, n, mode))
                     assert (restricted.rows, restricted.cols) == (want.rows, want.cols)
                     assert list(restricted.nonzero_items()) == list(want.nonzero_items())
+
+
+def test_pair_basis_and_pair_mask_match_the_longhand_on_every_sample_rack():
+    for rack in small_rack_sample():
+        for mode in ("diagonal", "quasidiagonal"):
+            for n in range(5 if rack.size <= 3 else 4):
+                want = oracles.pair_basis_longhand(rack, n, mode)
+                assert yb.pair_basis(rack, n, mode) == want, (rack.table, mode, n)
+                assert np.flatnonzero(pair_mask(rack, n, mode)).tolist() == want
+
+
+def test_a_partition_the_coboundary_leaves_is_refused_with_a_witness(monkeypatch):
+    # dihedral3 is faithful, so {0, 1} is no behaviour class: d^1 sends the basis pair
+    # ((0,), (1,)) to ((0, 0), (2, 1)) through the drop summand at position 0
+    from ybrack import indexing
+    monkeypatch.setattr(indexing, "behavior_partition",
+                        lambda rack: yb.racks.BehaviorPartition((0, 0, 1), ((0, 1), (2,))))
+    with pytest.raises(ValueError) as refused:
+        yb.coboundary_matrix(yb.catalog.dihedral3(), F2, 1, "quasidiagonal")
+    assert str(refused.value) == ("the quasidiagonal d^1 sends [(0,), (1,)] out, "
+                                  "to [(0, 0), (2, 1)]")
 
 
 def test_coboundary_matrix_composition_is_zero():
@@ -168,23 +189,25 @@ def test_size_guard(monkeypatch):
 
 
 def test_the_size_guard_counts_the_pair_codes_a_build_allocates(monkeypatch):
-    # 2(n+1) q^(2n+1) pair codes for the full d^n and for the masked quasi-diagonal d^n
-    # of a rack with a behaviour class of two or more; 2n q^(n+1) for the rack d^n,
-    # which is also every diagonal d^n and the quasi-diagonal d^n of dihedral3
+    # 2(n+1) q N_n pair codes for d^n, where N_n = (sum of |c|^2 over the classes c)^n
+    # input pairs: q^(2n) for the full complex, 5^n for the quasi-diagonal complex of
+    # quandle3 (classes {0, 1} and {2}), and q^n for every diagonal complex and for the
+    # quasi-diagonal complex of dihedral3, whose behaviour classes have one element
     dihedral3, quandle3 = yb.catalog.dihedral3(), yb.catalog.quandle3()
-    for rack, mode in [(dihedral3, "full"), (quandle3, "full"), (quandle3, "quasidiagonal")]:
-        monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", 6 * 3**5)
+    for rack, mode, codes in [(dihedral3, "full", 6 * 3**5), (quandle3, "full", 6 * 3**5),
+                              (quandle3, "quasidiagonal", 6 * 3 * 5**2)]:
+        monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", codes)
         assert yb.coboundary_matrix(rack, F2, 2, mode).nnz() > 0
-        monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", 6 * 3**5 - 1)
-        with pytest.raises(yb.SizeGuardError, match="1,458 pair codes exceeds the cap 1,457"):
+        monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", codes - 1)
+        with pytest.raises(yb.SizeGuardError, match=f"{codes:,} pair codes exceeds the cap "
+                                                    f"{codes - 1:,}"):
             yb.coboundary_matrix(rack, F2, 2, mode)
-    monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", 6 * 3**4)
-    for build in (lambda n: yb.rack_coboundary_matrix(dihedral3, F2, n),
-                  lambda n: yb.coboundary_matrix(dihedral3, F2, n, "diagonal"),
+    monkeypatch.setattr(cochains, "MATRIX_ENTRY_CAP", 8 * 3**4)
+    for build in (lambda n: yb.coboundary_matrix(dihedral3, F2, n, "diagonal"),
                   lambda n: yb.coboundary_matrix(dihedral3, F2, n, "quasidiagonal"),
                   lambda n: yb.coboundary_matrix(quandle3, F2, n, "diagonal")):
         assert build(3).rows == 81
-        with pytest.raises(yb.SizeGuardError, match="1,944 pair codes exceeds the cap 486"):
+        with pytest.raises(yb.SizeGuardError, match="2,430 pair codes exceeds the cap 648"):
             build(4)
 
 
@@ -204,14 +227,15 @@ def test_an_absurd_degree_is_refused_without_forming_its_count():
     (yb.cohomology_dim, lambda: yb.dihedral_quandle(5), 4, 19_531_250),
     (yb.cohomology_dim, yb.catalog.dihedral4, 5, 50_331_648),
     (yb.cohomology_dim, yb.catalog.dihedral3, 6, 22_320_522),
-    (yb.rack_cohomology_dim, lambda: yb.dihedral_quandle(5), 9, 18 * 5**10),
-    (lambda *args: yb.cohomology_dim(*args, "quasidiagonal"), yb.catalog.dihedral4, 5, 50_331_648),
+    (yb.rack_cohomology_dim, lambda: yb.dihedral_quandle(5), 9, 20 * 5**10),
+    (lambda *args: yb.cohomology_dim(*args, "quasidiagonal"), yb.catalog.dihedral4, 7,
+     134_217_728),
 ], ids=["dihedral9-d3", "dihedral5-d4", "dihedral4-d5", "dihedral3-d6", "rack-dihedral5-d9",
-        "quasidiagonal-dihedral4-d5"])
+        "quasidiagonal-dihedral4-d7"])
 def test_a_matrix_over_the_cap_is_refused_before_it_is_built(dim, make, degree, codes):
     # d^n is built before d^(n-1), so the refusal comes before any array of either; the
-    # quasi-diagonal complex of dihedral4, whose behaviour classes have two elements, is
-    # masked down from the full codes
+    # quasi-diagonal d^7 of dihedral4, whose behaviour classes have two elements, holds
+    # 2 * 8 * 4 * 8^7 codes
     rack = make()
     tracemalloc.start()
     try:
@@ -227,8 +251,8 @@ def test_a_matrix_over_the_cap_is_refused_before_it_is_built(dim, make, degree, 
 
 @pytest.mark.parametrize("mode", ["diagonal", "quasidiagonal"])
 def test_dihedral3_builds_its_d6_from_the_rack_codes(mode):
-    # 2 * 6 * 3^7 = 26,244 codes, about 1.7 MB at 66 B each (1.6-1.8 MB measured); the
-    # masked build would form 22,320,522, which is over the cap
+    # 2 * 7 * 3^7 = 30,618 codes, about 2.0 MB at 66 B each (2.5-2.7 MB measured); the
+    # full d^6 would form 22,320,522, which is over the cap
     tracemalloc.start()
     try:
         matrix = yb.coboundary_matrix(yb.catalog.dihedral3(), F3, 6, mode)
@@ -269,6 +293,27 @@ def test_full_h4_of_dihedral4_within_a_memory_budget():
     lines = done.stdout.split("\n")
     assert lines[:2] == ["464 464", "256 256"]
     assert int(lines[2]) <= 384, f"max RSS {lines[2]} MB"  # measured 319 MB
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3"])
+def test_full_h5_of_quandle3_retracts_within_a_memory_budget(spec):
+    # the paper's retraction at degree 5: d^5 is 531,441 x 59,049; 0.8 s and 163-173 MB
+    # peak RSS measured per field.  The peak is the child's VmHWM: its ru_maxrss would
+    # also count the RSS of the forked test process
+    script = textwrap.dedent(f"""
+        import ybrack as yb
+        rack, ring = yb.catalog.quandle3(), yb.parse_ring("{spec}")
+        print(yb.cohomology_dim(rack, ring, 5), yb.cohomology_dim(rack, ring, 5, "quasidiagonal"))
+        with open("/proc/self/status") as status:
+            print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM")) // 1024)
+    """)
+    src = Path(yb.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    lines = done.stdout.split("\n")
+    assert lines[0] == "243 243"
+    assert int(lines[1]) <= 256, f"peak RSS {lines[1]} MB"
 
 
 def test_cohomology_dims_match_reported_values():
@@ -334,12 +379,12 @@ def test_rack_coboundary_against_oracle():
 
 
 def test_rack_coboundary_matrix_against_oracle():
-    # column c of the matrix is the rack coboundary of the indicator of c
+    # column c of the diagonal matrix is the rack coboundary of the indicator of c
     for rack in small_rack_sample():
         q = rack.size
         for ring in (F3, QQ):
             for n in sample_degrees(rack):
-                mat = yb.rack_coboundary_matrix(rack, ring, n)
+                mat = yb.coboundary_matrix(rack, ring, n, "diagonal")
                 assert (mat.rows, mat.cols) == (q ** (n + 1), q**n)
                 got = {pos: v for pos, v in mat.nonzero_items()}
                 for col in range(q**n):

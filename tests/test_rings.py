@@ -354,3 +354,20 @@ def test_rational_products_over_mixed_denominators():
     got = Q.mat_mul(a, b)
     assert got.tolist() == want and all(type(v) is Fraction for v in got.flat)
     assert Q.mat_mul(b.T, a.T).tolist() == [list(row) for row in zip(*want)]
+
+
+def test_scaled_rows_scale_each_row_by_the_lcm_of_its_denominators():
+    # row 0 mixes denominators 2, 3 and 1 (lcm 6), row 1 is integral, row 2 has lcm 4;
+    # the two halves are one object, as equal values are in a matrix from from_coo
+    half = Fraction(1, 2)
+    values = np.array([half, Fraction(-2, 3), Fraction(5), half, Fraction(7), Fraction(-1),
+                       Fraction(1, 4), half], dtype=object)
+    row = np.array([0, 0, 0, 0, 1, 1, 2, 2])
+    scaled = rings._scaled_rows(row, values)
+    assert scaled.dtype == np.int64
+    assert scaled.tolist() == [3, -4, 30, 3, 7, -1, 1, 2]
+    integral = np.array([Fraction(2), Fraction(-1), Fraction(2)], dtype=object)
+    assert rings._scaled_rows(np.array([0, 0, 1]), integral).tolist() == [2, -1, 2]
+    # a value beyond int64 turns the whole result into Python ints
+    big = rings._scaled_rows(np.array([0, 1]), np.array([Fraction(2**70, 3), half], dtype=object))
+    assert big.dtype == object and big.tolist() == [2**70, 1]

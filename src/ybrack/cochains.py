@@ -292,8 +292,8 @@ def coboundary_matrix(rack: RackTable, ring: Ring, degree: int,
     offset[X] + inner[Y]: 2(n+1) q N_n codes for N_n = N_1^n input pairs, a
     count over ``MATRIX_ENTRY_CAP`` refused before any exists.  An (X, Y) of
     two class tuples is refused.  On a quasi-diagonal pair both summands at
-    position 0 reach one (X, Y) with opposite signs, and ``from_coo`` cancels
-    them: the diagonal d^n is the rack one."""
+    position 0 reach one (X, Y) with opposite signs (equivalent suffixes act
+    alike, so both key by x_0 = y_0), and ``from_coo`` cancels them."""
     _modulus(ring)  # reject truncated coefficient rings early
     q = rack.size
     found = list(islice(numberings := pair_numberings(rack, subcomplex), 2))  # lengths 0 and 1

@@ -166,14 +166,14 @@ def _matrix_matches_golden(matrix, rack_name: str) -> dict:
     """Entrywise comparison with the shipped golden asset; reports the first
     differing entry on mismatch."""
     golden = _load_golden(f"{rack_name}_operator.txt")
-    built = {pos for pos, _ in golden.nonzero_items()}
-    for i in range(golden.rows):
-        for j in range(golden.cols):
-            got = int(matrix[i, j])
-            want = 1 if (i, j) in built else 0
-            if got != want:
-                return {"match": False, "first_diff": [i, j], "got": got, "want": want}
-    return {"match": True}
+    want = np.zeros((golden.rows, golden.cols), dtype=np.int64)
+    want[tuple(np.array([pos for pos, _ in golden.nonzero_items()]).T)] = 1
+    hits = np.argwhere(matrix != want)
+    if hits.size == 0:
+        return {"match": True}
+    i, j = map(int, hits[0])
+    return {"match": False, "first_diff": [i, j], "got": int(matrix[i, j]),
+            "want": int(want[i, j])}
 
 
 def _operator_matches_golden(rack_name: str) -> dict:

@@ -67,14 +67,18 @@ def _reduced(ring: Ring, matrix):
     return ring.mat_add(matrix, ring.zeros(*ring.shape(matrix)))
 
 
+def _rack_permutation(rack: RackTable) -> np.ndarray:
+    """sigma with sigma(x1 q + x2) = x2 q + x1 * x2: the rack operator sends
+    basis pair code c to code sigma[c]."""
+    q = rack.size
+    return np.arange(q * q) % q * q + np.asarray(rack.table, dtype=np.int64).reshape(-1)
+
+
 def _rack_grid(rack: RackTable) -> np.ndarray:
-    """0/1 int64 permutation matrix of (x1, x2) -> (x2, x1 * x2)."""
-    n = rack.size
-    grid = np.zeros((n * n, n * n), dtype=np.int64)
-    for x1 in range(n):
-        for x2 in range(n):
-            grid[x2 * n + rack.op(x1, x2), x1 * n + x2] = 1
-    return grid
+    """0/1 int64 permutation matrix of (x1, x2) -> (x2, x1 * x2): column c
+    is the unit vector of sigma[c]."""
+    sigma = _rack_permutation(rack)
+    return np.eye(sigma.size, dtype=np.int64)[:, sigma]
 
 
 def rack_operator(rack: RackTable, ring: Ring) -> YBOperator:
@@ -192,9 +196,8 @@ def deformation_term(op: YBOperator) -> object:
     if op.rack is None:
         raise InvalidOperatorError("operator does not carry a rack")
     ring = op.ring
-    # the rack operator is a permutation matrix, so its inverse is its transpose
-    base_inv = ring.from_int_matrix(_rack_grid(op.rack).T)
-    composite = ring.mat_mul(base_inv, op.matrix)
+    # c_Q is the permutation matrix of sigma, so row k of c_Q^-1 c is row sigma[k] of c
+    composite = op.matrix[..., _rack_permutation(op.rack), :]
     return ring.mat_sub(composite, ring.eye(op.dim ** 2))
 
 

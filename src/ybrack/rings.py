@@ -14,9 +14,14 @@ a ring use a ring-specific ndarray layout so bulk operations stay vectorised:
                            coefficient matrix
 * ``PadicRing(p, N)``   -- the truncation Z/p^N; int64 array reduced mod p^N
 
+Every layout keeps rows and columns on its last two axes, so ``Ring``
+defines ``zeros``, ``eye``, ``shape``, ``mat_kron`` and ``first_difference``
+once, from each family's ``from_int_matrix``, ``mat_mul`` and ``mat_sub``.
+
 Moduli must fit in int64, and the int64 matrix kernels refuse (``ValueError``)
 any product whose sums of residue products could leave int64: ``mat_mul``
-needs inner * (m - 1)^2 < 2^63 for the modulus m, times N for F_p[h]/(h^N).
+needs inner * (m - 1)^2 < 2^63 for the modulus m, times N for F_p[h]/(h^N),
+and ``mat_kron`` is a ``mat_mul`` with inner = 1.
 
 A ring's identity is its spec, the text ``parse_ring`` reads ("F5", "Q",
 "F3[h]/h^3", "Z/3^2"): ``repr``, equality and hashing all derive from it.
@@ -238,6 +243,32 @@ class Ring:
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
 
+    def zeros(self, rows, cols):
+        return self.from_int_matrix(np.zeros((rows, cols), dtype=np.int64))
+
+    def eye(self, n):
+        return self.from_int_matrix(np.eye(n, dtype=np.int64))
+
+    def shape(self, mat):
+        return mat.shape[-2:]
+
+    def mat_kron(self, a, b):
+        """Every entry product a_ij b_kl, at row i rb + k and column j cb + l:
+        one ``mat_mul`` of inner dimension 1, regrouped."""
+        (ra, ca), (rb, cb) = self.shape(a), self.shape(b)
+        outer = self.mat_mul(a.reshape(*a.shape[:-2], ra * ca, 1),
+                             b.reshape(*b.shape[:-2], 1, rb * cb))
+        lead = outer.shape[:-2]
+        return outer.reshape(*lead, ra, ca, rb, cb).swapaxes(-2, -3).reshape(
+            *lead, ra * rb, ca * cb)
+
+    def first_difference(self, a, b):
+        """First entry (row-major) where two matrices differ in any leading
+        layer, else None."""
+        diff = self.mat_sub(a, b) != 0
+        hits = np.argwhere(diff.any(axis=tuple(range(diff.ndim - 2))))
+        return tuple(map(int, hits[0])) if hits.size else None
+
     def mat_eq(self, a, b) -> bool:
         return self.first_difference(a, b) is None
 
@@ -269,18 +300,9 @@ class _IntegersMod(Ring):
     def scalar_parse(self, text):
         return int(text) % self.modulus
 
-    def zeros(self, rows, cols):
-        return np.zeros((rows, cols), dtype=np.int64)
-
-    def eye(self, n):
-        return np.eye(n, dtype=np.int64)
-
     def from_int_matrix(self, entries):
         """Embed an integer matrix (e.g. a permutation matrix) into the ring."""
         return _as_int_grid(entries) % self.modulus
-
-    def shape(self, mat):
-        return mat.shape
 
     def mat_add(self, a, b):
         return (a + b) % self.modulus
@@ -290,19 +312,6 @@ class _IntegersMod(Ring):
 
     def mat_mul(self, a, b):
         return _convolve(a[None], b[None], self.modulus)[0]
-
-    def mat_kron(self, a, b):
-        _check_products(self.modulus, 1)
-        return np.kron(a, b) % self.modulus
-
-    def first_difference(self, a, b):
-        """First entry (row-major) where two matrices differ, else None."""
-        diff = (a - b) % self.modulus
-        hits = np.argwhere(diff != 0)
-        if hits.size == 0:
-            return None
-        i, j = map(int, hits[0])
-        return i, j
 
     def mat_entry(self, mat, i, j):
         return int(mat[i, j])
@@ -380,17 +389,8 @@ class Rationals(Ring):
     def scalar_parse(self, text):
         return Fraction(text)
 
-    def zeros(self, rows, cols):
-        return self.from_int_matrix(np.zeros((rows, cols), dtype=np.int64))
-
-    def eye(self, n):
-        return self.from_int_matrix(np.eye(n, dtype=np.int64))
-
     def from_int_matrix(self, entries):
         return np.frompyfunc(Fraction, 1, 1)(_as_int_grid(entries).astype(object))
-
-    def shape(self, mat):
-        return mat.shape
 
     def mat_add(self, a, b):
         return a + b
@@ -404,13 +404,6 @@ class Rationals(Ring):
         a, b = (np.array([v.numerator * (d // v.denominator) for v in m.flat],
                          dtype=object).reshape(m.shape) for m, d in zip((a, b), dens))
         return np.frompyfunc(lambda v: Fraction(v, dens[0] * dens[1]), 1, 1)(np.dot(a, b))
-
-    def mat_kron(self, a, b):
-        return np.kron(a, b)
-
-    def first_difference(self, a, b):
-        hits = np.argwhere(a != b)
-        return tuple(map(int, hits[0])) if hits.size else None
 
     def mat_entry(self, mat, i, j):
         return mat[i, j]
@@ -520,21 +513,8 @@ class SeriesRing(_TruncatedRing):
             raise ValueError(f"expected {self.order} coefficients, got {len(parts)}")
         return tuple(parts)
 
-    def zeros(self, rows, cols):
-        return np.zeros((self.order, rows, cols), dtype=np.int64)
-
-    def eye(self, n):
-        mat = self.zeros(n, n)
-        mat[0] = np.eye(n, dtype=np.int64)
-        return mat
-
     def from_int_matrix(self, entries):
-        mat = self.zeros(*_as_int_grid(entries).shape)
-        mat[0] = _as_int_grid(entries) % self.p
-        return mat
-
-    def shape(self, mat):
-        return mat.shape[1], mat.shape[2]
+        return self.lift_digit_matrix(entries, 0)
 
     def mat_add(self, a, b):
         return (a + b) % self.p
@@ -544,20 +524,6 @@ class SeriesRing(_TruncatedRing):
 
     def mat_mul(self, a, b):
         return _convolve(a, b, self.p)
-
-    def mat_kron(self, a, b):
-        # the coefficient products of every entry pair: an inner-1 product
-        (n, ra, ca), (_, rb, cb) = a.shape, b.shape
-        outer = _convolve(a.reshape(n, ra * ca, 1), b.reshape(n, 1, rb * cb), self.p)
-        return outer.reshape(n, ra, ca, rb, cb).swapaxes(2, 3).reshape(n, ra * rb, ca * cb)
-
-    def first_difference(self, a, b):
-        diff = (a - b) % self.p
-        hits = np.argwhere(np.any(diff != 0, axis=0))
-        if hits.size == 0:
-            return None
-        i, j = map(int, hits[0])
-        return i, j
 
     def mat_entry(self, mat, i, j):
         return tuple(int(v) for v in mat[:, i, j])
@@ -572,8 +538,9 @@ class SeriesRing(_TruncatedRing):
         return mat[k] % self.p
 
     def lift_digit_matrix(self, grid, k):
-        mat = self.zeros(*_as_int_grid(grid).shape)
-        mat[k] = _as_int_grid(grid) % self.p
+        grid = _as_int_grid(grid)
+        mat = np.zeros((self.order, *grid.shape), dtype=np.int64)
+        mat[k] = grid % self.p
         return mat
 
     def min_valuation(self, mat):

@@ -311,6 +311,14 @@ def lift_longhand(ring, matrix, dim, strands, position):
     return ring.mat_kron(ring.mat_kron(left, matrix), right)
 
 
+def first_difference_longhand(ring, a, b):
+    """First (i, j) in row-major order whose entries of a and b differ as
+    scalars, else None."""
+    rows, cols = ring.shape(a)
+    return next(((i, j) for i in range(rows) for j in range(cols)
+                 if not ring.eq(ring.mat_entry(a, i, j), ring.mat_entry(b, i, j))), None)
+
+
 def _row_dicts(ring, mat):
     """A ring-layout matrix as {row: {col: nonzero scalar}}."""
     rows, cols = ring.shape(mat)

@@ -276,34 +276,11 @@ def test_full_h4_equals_quasidiagonal_h4_on_the_sample_up_to_size_3():
         assert full == known.get(rack, full), rack.table
 
 
-def test_full_h4_of_dihedral4_within_a_memory_budget():
-    # F2 and Q ranks of d^4 (1,048,576 x 65,536) and d^3 in one fresh process
-    script = textwrap.dedent("""
-        import resource
-        import ybrack as yb
-        rack = yb.catalog.dihedral4()
-        for ring in (yb.PrimeField(2), yb.Rationals()):
-            print(yb.cohomology_dim(rack, ring, 4), yb.cohomology_dim(rack, ring, 4, "quasidiagonal"))
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
-    """)
-    src = Path(yb.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, check=True)
-    lines = done.stdout.split("\n")
-    assert lines[:2] == ["464 464", "256 256"]
-    assert int(lines[2]) <= 384, f"max RSS {lines[2]} MB"  # measured 319 MB
-
-
-@pytest.mark.parametrize("spec", ["F2", "F3"])
-def test_full_h5_of_quandle3_retracts_within_a_memory_budget(spec):
-    # the paper's retraction at degree 5: d^5 is 531,441 x 59,049; 0.8 s and 163-173 MB
-    # peak RSS measured per field.  The peak is the child's VmHWM: its ru_maxrss would
-    # also count the RSS of the forked test process
-    script = textwrap.dedent(f"""
-        import ybrack as yb
-        rack, ring = yb.catalog.quandle3(), yb.parse_ring("{spec}")
-        print(yb.cohomology_dim(rack, ring, 5), yb.cohomology_dim(rack, ring, 5, "quasidiagonal"))
+def _run_with_peak_mb(script: str) -> tuple[list[str], int]:
+    """Run a script in a fresh interpreter; returns its output lines and its own
+    peak RSS in MB.  The peak is the child's VmHWM: its ru_maxrss would also
+    count the RSS of the forked test process."""
+    script += textwrap.dedent("""
         with open("/proc/self/status") as status:
             print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM")) // 1024)
     """)
@@ -311,9 +288,33 @@ def test_full_h5_of_quandle3_retracts_within_a_memory_budget(spec):
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, check=True)
-    lines = done.stdout.split("\n")
-    assert lines[0] == "243 243"
-    assert int(lines[1]) <= 256, f"peak RSS {lines[1]} MB"
+    *lines, peak = done.stdout.splitlines()
+    return lines, int(peak)
+
+
+def test_full_h4_of_dihedral4_within_a_memory_budget():
+    # F2 and Q ranks of d^4 (1,048,576 x 65,536) and d^3 in one fresh process
+    lines, peak = _run_with_peak_mb(textwrap.dedent("""
+        import ybrack as yb
+        rack = yb.catalog.dihedral4()
+        for ring in (yb.PrimeField(2), yb.Rationals()):
+            print(yb.cohomology_dim(rack, ring, 4), yb.cohomology_dim(rack, ring, 4, "quasidiagonal"))
+    """))
+    assert lines == ["464 464", "256 256"]
+    assert peak <= 384, f"peak RSS {peak} MB"  # measured 357-365 MB
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3"])
+def test_full_h5_of_quandle3_retracts_within_a_memory_budget(spec):
+    # the paper's retraction at degree 5: d^5 is 531,441 x 59,049; 0.8 s and 163-173 MB
+    # peak RSS measured per field
+    lines, peak = _run_with_peak_mb(textwrap.dedent(f"""
+        import ybrack as yb
+        rack, ring = yb.catalog.quandle3(), yb.parse_ring("{spec}")
+        print(yb.cohomology_dim(rack, ring, 5), yb.cohomology_dim(rack, ring, 5, "quasidiagonal"))
+    """))
+    assert lines == ["243 243"]
+    assert peak <= 256, f"peak RSS {peak} MB"
 
 
 def test_cohomology_dims_match_reported_values():

@@ -10,7 +10,7 @@ import ybrack as yb
 from ybrack import rings
 from ybrack.rings import NotAUnitError
 
-from oracles import rref_longhand, series_product_longhand
+from oracles import first_difference_longhand, rref_longhand, series_product_longhand
 
 
 RINGS = [yb.parse_ring(s) for s in
@@ -299,15 +299,55 @@ def test_series_products_match_the_schoolbook_longhand(spec):
         assert got.tolist() == series_product_longhand(ring.p, a, b)
 
 
-@pytest.mark.parametrize("spec", ["F2[h]/h^4", "F5[h]/h^6"])
+def _random_matrix(ring, rows, cols, rng):
+    """A matrix of random scalars; over Q most of them are not integers."""
+    mat = ring.zeros(rows, cols)
+    for i, j in np.ndindex(rows, cols):
+        if isinstance(ring, yb.Rationals):
+            value = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+        elif isinstance(ring, yb.SeriesRing):
+            value = tuple(rng.integers(0, ring.p, ring.order).tolist())
+        else:
+            value = int(rng.integers(0, ring.modulus))
+        ring.mat_set_entry(mat, i, j, value)
+    return mat
+
+
+def _bumped(ring, mat, bumps):
+    """A copy of mat with each scalar of {(i, j): scalar} added to its entry."""
+    out = mat.copy()
+    for (i, j), value in bumps.items():
+        ring.mat_set_entry(out, i, j, ring.add(ring.mat_entry(out, i, j), value))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["F2[h]/h^4", "F5[h]/h^6", "F5", "Q", "Z/3^2"])
 def test_series_kron_multiplies_every_entry_pair(spec):
+    # mat_kron, first_difference, zeros, eye and shape are defined once, on Ring
     ring = yb.parse_ring(spec)
-    rng = np.random.default_rng(ring.order)
-    a, b = (rng.integers(0, ring.p, size=(ring.order, 2, 3)) for _ in range(2))
+    rng = np.random.default_rng(len(spec))
+    a, b = _random_matrix(ring, 2, 3, rng), _random_matrix(ring, 3, 2, rng)
+    if isinstance(ring, yb.Rationals):
+        assert any(v.denominator > 1 for v in a.flat)
     kron = ring.mat_kron(a, b)
-    for i, j, k, l in np.ndindex(2, 3, 2, 3):
-        assert ring.mat_entry(kron, 2 * i + k, 3 * j + l) == ring.mul(
+    assert tuple(ring.shape(kron)) == (6, 6)
+    for i, j, k, l in np.ndindex(2, 3, 3, 2):
+        assert ring.mat_entry(kron, 3 * i + k, 2 * j + l) == ring.mul(
             ring.mat_entry(a, i, j), ring.mat_entry(b, k, l))
+    assert ring.first_difference(a, a.copy()) is None
+    for _ in range(20):
+        where = {tuple(rng.integers(0, (2, 3)).tolist()): ring.one()
+                 for _ in range(rng.integers(1, 3))}
+        moved = _bumped(ring, a, where)
+        assert ring.first_difference(a, moved) == first_difference_longhand(ring, a, moved)
+    if ring.is_truncated:
+        # (0, 1) differs only in its top digit, layer N - 1 of F_p[h]/h^N; (1, 0) in all
+        top = ring.lift_digit(1, ring.order - 1)
+        moved = _bumped(ring, a, {(0, 1): top, (1, 0): ring.one()})
+        assert ring.valuation(ring.sub(ring.mat_entry(moved, 0, 1), ring.mat_entry(a, 0, 1))) \
+            == ring.order - 1
+        assert ring.first_difference(a, moved) == first_difference_longhand(ring, a, moved) \
+            == (0, 1)
 
 
 @pytest.mark.parametrize("spec,fits", [

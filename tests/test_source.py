@@ -28,3 +28,12 @@ def test_the_library_caches_only_the_incidence_tables_and_the_witness_map():
                     if isinstance(node, ast.FunctionDef)
                     and any(_is_functools_cache(d) for d in node.decorator_list))
     assert cached == ["build_witness_map", "class_coordinates", "pair_mask", "position_data"]
+
+
+def test_the_layout_generic_matrix_methods_are_defined_once():
+    # every ring layout keeps rows and columns on its last two axes, so Ring defines
+    # these from each family's from_int_matrix, mat_mul and mat_sub
+    tree = ast.parse((SRC / "rings.py").read_text(encoding="utf-8"))
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for name in ("zeros", "eye", "shape", "mat_kron", "first_difference"):
+        assert defined.count(name) == 1, (name, defined.count(name))

@@ -454,11 +454,12 @@ class _TruncatedRing(Ring):
         # transform's residue is I, its own inverse, so it skips elimination.
         res = self.residue_matrix(mat)
         n = self.shape(mat)[0]
+        eye = self.eye(n)
         if np.array_equal(res, np.eye(n, dtype=np.int64)):
-            x = self.eye(n)
+            x = eye
         else:
             x = self.from_int_matrix(self.residue_field().mat_inv(res))
-        two_eye = self.mat_add(self.eye(n), self.eye(n))
+        two_eye = self.mat_add(eye, eye)
         steps = max(1, (self.order - 1).bit_length())
         for _ in range(steps):
             x = self.mat_mul(x, self.mat_sub(two_eye, self.mat_mul(mat, x)))
